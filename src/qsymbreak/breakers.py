@@ -12,20 +12,23 @@ breaker is the negation of the existential breaker built for the flipped
 prefix.
 
 The clausal encoding introduces a chain of fresh variables ``y_0..y_k``
-per generator, where ``y_j`` means "the play agrees with its image on
-the first j variables": a unit clause asserts ``y_0``, implication
-clauses ``(~y_{i-1} | ~x_i | g(x_i))`` enforce the breaker at
-existential positions, and per-position pairs extend the chain, either
-recycling the implication (existential positions) or testing equality
-directly (universal positions).  The chain is truncated after the last
-position that has an implication clause, and tautologies and duplicates
-are dropped.  Negating every clause turns the encoding into the cube
-list of the universal breaker.
+per generator ``g``, in the linear shape of Shatter (Aloul, Sakallah &
+Markov, IEEE TC 2006).  Chain positions are the variables
+``x_0..x_{m-1}`` that ``g`` moves, in prefix order; a fixed position has
+a trivially true equality guard, exactly as in the formula breaker.
+``y_j`` means "the play agrees with its image on x_0..x_{j-1}": a unit
+clause asserts ``y_0``, implication clauses ``(~y_j | ~x_j | g(x_j))``
+enforce the breaker at existential positions, and per-position pairs
+extend the chain, either recycling the implication (existential
+positions) or testing equality directly (universal positions).  The
+chain stops at the last existential position, and tautologies and
+duplicates are dropped.  The universal encoding is the existential one
+built for the flipped prefix with every clause negated into a cube.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -67,9 +70,8 @@ def _checked_generators(prefix: Prefix, generators) -> tuple[SignedPermutation, 
             raise ValidationError(
                 "inadmissible generator: " + "; ".join(m for _, m in report.violations)
             )
-        if g not in out:
-            out.append(g)
-    return tuple(out)
+        out.append(g)
+    return tuple(dict.fromkeys(out))
 
 
 def select_group_elements(
@@ -84,17 +86,14 @@ def select_group_elements(
     """
     if product_length < 1:
         raise ValidationError("product_length must be at least 1")
-    gens: list[SignedPermutation] = []
-    for g in generators:
-        if g not in gens:
-            gens.append(g)
+    gens = tuple(dict.fromkeys(generators))
     if len({g.domain for g in gens}) > 1:
         raise ValidationError("generators act on different variable sets")
     collected: list[SignedPermutation] = []
     seen: set[SignedPermutation] = set()
-    queue: list[tuple[SignedPermutation, int]] = [(g, 1) for g in gens]
+    queue = deque((g, 1) for g in gens)
     while queue:
-        word, length = queue.pop(0)
+        word, length = queue.popleft()
         if word in seen:
             continue
         seen.add(word)
@@ -184,11 +183,14 @@ class EncodedBreaker:
 
     polarity: str
     terms: tuple[tuple[int, ...], ...]
-    aux_vars: tuple[int, ...]
     aux_slots: tuple[tuple[int, int], ...]
     prefix: Prefix
     original_prefix: Prefix
     generators: tuple[SignedPermutation, ...]
+
+    @property
+    def aux_vars(self) -> tuple[int, ...]:
+        return tuple(aux for aux, _ in self.aux_slots)
 
     @property
     def clauses(self) -> tuple[tuple[int, ...], ...]:
@@ -204,28 +206,23 @@ class EncodedBreaker:
 
 
 def _chain_for_generator(
-    prefix: Prefix, g: SignedPermutation, next_aux: int, compress_identity: bool
-) -> tuple[list[tuple[int, ...]], list[tuple[int, int]], int]:
+    prefix: Prefix, g: SignedPermutation, next_aux: int
+) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
     """Emit the clause chain for one generator.
 
-    Returns (clauses, [(aux, slot)], aux_used).  Chain positions are the
-    prefix variables in order, or only the moved ones when
-    ``compress_identity`` is set.  Nothing is emitted when no implication
-    clause survives, and the chain stops at the last position that has
-    one, so unused chain variables are never created.
+    Returns (clauses, [(aux, slot)]).  Chain positions are the variables
+    ``g`` moves, in prefix order; a fixed position would only copy the
+    previous chain variable into the next.  Nothing is emitted when ``g``
+    moves no existential variable, and the chain stops at the last moved
+    existential, so unused chain variables are never created.
     """
-    if compress_identity:
-        positions = [v for v in prefix.variables if g.image(v) != v]
-    else:
-        positions = list(prefix.variables)
+    positions = [v for v in prefix.variables if g.image(v) != v]
     implication_ranks = [
-        rank
-        for rank, v in enumerate(positions)
-        if prefix.quantifier_of(v) == EXISTS and g.image(v) != v
+        rank for rank, v in enumerate(positions) if prefix.quantifier_of(v) == EXISTS
     ]
     if not implication_ranks:
-        return [], [], 0
-    last = max(implication_ranks)
+        return [], []
+    last = implication_ranks[-1]
     aux = [next_aux + k for k in range(last + 1)]
 
     clauses: list[tuple[int, ...]] = [(aux[0],)]
@@ -250,7 +247,7 @@ def _chain_for_generator(
     slots = [(aux[0], -1)]
     for rank in range(1, last + 1):
         slots.append((aux[rank], prefix.block_index_of(positions[rank - 1])))
-    return clauses, slots, last + 1
+    return clauses, slots
 
 
 def _dedup(terms: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
@@ -294,43 +291,42 @@ def _fresh_start(prefix: Prefix, start_var: int | None) -> int:
     return start_var
 
 
+def _encode(
+    prefix: Prefix, generators, start_var: int | None, polarity: str
+) -> EncodedBreaker:
+    gens = _checked_generators(prefix, generators)
+    chain_prefix = prefix if polarity == EXISTS else prefix.flipped()
+    next_aux = _fresh_start(prefix, start_var)
+    terms: list[tuple[int, ...]] = []
+    slots: list[tuple[int, int]] = []
+    for g in gens:
+        clauses, gslots = _chain_for_generator(chain_prefix, g, next_aux)
+        if polarity == FORALL:
+            clauses = [tuple(-lit for lit in clause) for clause in clauses]
+        terms.extend(clauses)
+        slots.extend(gslots)
+        next_aux += len(gslots)
+    extended = _extended_prefix(prefix, ((a, s, polarity) for a, s in slots))
+    return EncodedBreaker(
+        polarity, _dedup(terms), tuple(slots), extended, prefix, gens
+    )
+
+
 def encode_existential_cnf(
-    prefix: Prefix,
-    generators,
-    start_var: int | None = None,
-    compress_identity: bool = False,
+    prefix: Prefix, generators, start_var: int | None = None
 ) -> EncodedBreaker:
     """Encode the existential lex-leader breaker as clauses.
 
     Fresh chain variables are allocated sequentially from ``start_var``
     (default: one past the largest prefix variable), per generator, and
     quantified existentially right after the block of the position they
-    guard.  ``compress_identity`` drops fixed positions from the chains
-    entirely, giving smaller but differently shaped encodings.
+    guard.
     """
-    gens = _checked_generators(prefix, generators)
-    next_aux = _fresh_start(prefix, start_var)
-    all_clauses: list[tuple[int, ...]] = []
-    slots: list[tuple[int, int]] = []
-    for g in gens:
-        clauses, gslots, used = _chain_for_generator(
-            prefix, g, next_aux, compress_identity
-        )
-        all_clauses.extend(clauses)
-        slots.extend(gslots)
-        next_aux += used
-    aux_vars = tuple(aux for aux, _ in slots)
-    extended = _extended_prefix(prefix, ((a, s, EXISTS) for a, s in slots))
-    return EncodedBreaker(
-        EXISTS, _dedup(all_clauses), aux_vars, tuple(slots), extended, prefix, gens
-    )
+    return _encode(prefix, generators, start_var, EXISTS)
 
 
 def encode_universal_dnf(
-    prefix: Prefix,
-    generators,
-    start_var: int | None = None,
-    compress_identity: bool = False,
+    prefix: Prefix, generators, start_var: int | None = None
 ) -> EncodedBreaker:
     """Encode the universal lex-leader breaker as cubes.
 
@@ -338,23 +334,7 @@ def encode_universal_dnf(
     prefix, negated clause by clause; the chain variables are quantified
     universally at the same insertion points of the original prefix.
     """
-    gens = _checked_generators(prefix, generators)
-    flipped = prefix.flipped()
-    next_aux = _fresh_start(prefix, start_var)
-    cubes: list[tuple[int, ...]] = []
-    slots: list[tuple[int, int]] = []
-    for g in gens:
-        clauses, gslots, used = _chain_for_generator(
-            flipped, g, next_aux, compress_identity
-        )
-        cubes.extend(tuple(-lit for lit in clause) for clause in clauses)
-        slots.extend(gslots)
-        next_aux += used
-    aux_vars = tuple(aux for aux, _ in slots)
-    extended = _extended_prefix(prefix, ((a, s, FORALL) for a, s in slots))
-    return EncodedBreaker(
-        FORALL, _dedup(cubes), aux_vars, tuple(slots), extended, prefix, gens
-    )
+    return _encode(prefix, generators, start_var, FORALL)
 
 
 def _split_pair(encoded) -> tuple[EncodedBreaker, EncodedBreaker]:
@@ -375,6 +355,21 @@ def _split_pair(encoded) -> tuple[EncodedBreaker, EncodedBreaker]:
 def _check_target(instance: QbfInstance, encoded: EncodedBreaker) -> None:
     if encoded.original_prefix != instance.prefix:
         raise ValidationError("encoding was built for a different prefix")
+
+
+def _merged_prefix(instance: QbfInstance, *encodings: EncodedBreaker) -> Prefix:
+    """The instance prefix with the chain variables of every encoding
+    inserted, each quantified by its encoding's polarity."""
+    slot_items: list[tuple[int, int, str]] = []
+    taken: set[int] = set()
+    for encoded in encodings:
+        _check_target(instance, encoded)
+        overlap = taken.intersection(encoded.aux_vars)
+        if overlap:
+            raise ValidationError(f"encodings share chain variables {sorted(overlap)}")
+        taken.update(encoded.aux_vars)
+        slot_items += [(a, s, encoded.polarity) for a, s in encoded.aux_slots]
+    return _extended_prefix(instance.prefix, slot_items)
 
 
 def augment_instance(
@@ -410,18 +405,7 @@ def augment_instance(
         return out, (encoded.prefix, encoded.cubes)
     if mode == "combined":
         existential, universal = _split_pair(encoded)
-        _check_target(instance, existential)
-        _check_target(instance, universal)
-        overlap = set(existential.aux_vars) & set(universal.aux_vars)
-        if overlap:
-            raise ValidationError(
-                f"encodings share chain variables {sorted(overlap)}"
-            )
-        merged = _extended_prefix(
-            instance.prefix,
-            [(a, s, EXISTS) for a, s in existential.aux_slots]
-            + [(a, s, FORALL) for a, s in universal.aux_slots],
-        )
+        merged = _merged_prefix(instance, existential, universal)
         out = QbfInstance(
             prefix=merged,
             clauses=instance.clauses + existential.clauses,
@@ -442,24 +426,16 @@ def augmented_formula(
     feeding the brute-force truth oracle; either encoding may be absent.
     """
     phi: Formula = clauses_to_formula(instance.clauses)
-    slot_items: list[tuple[int, int, str]] = []
     if universal is not None:
         if universal.polarity != FORALL:
             raise ValidationError("universal argument must be a universal encoding")
-        _check_target(instance, universal)
         phi = Or((phi, cubes_to_formula(universal.cubes)))
-        slot_items += [(a, s, FORALL) for a, s in universal.aux_slots]
     if existential is not None:
         if existential.polarity != EXISTS:
             raise ValidationError("existential argument must be an existential encoding")
-        _check_target(instance, existential)
         phi = And((phi, clauses_to_formula(existential.clauses)))
-        slot_items += [(a, s, EXISTS) for a, s in existential.aux_slots]
-    if existential is not None and universal is not None:
-        overlap = set(existential.aux_vars) & set(universal.aux_vars)
-        if overlap:
-            raise ValidationError(f"encodings share chain variables {sorted(overlap)}")
-    return _extended_prefix(instance.prefix, slot_items), phi
+    present = [e for e in (existential, universal) if e is not None]
+    return _merged_prefix(instance, *present), phi
 
 
 @dataclass(frozen=True)

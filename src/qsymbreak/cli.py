@@ -101,6 +101,16 @@ def _load_generators(args, instance: QbfInstance):
     return gens
 
 
+def _encode_both(prefix, gens):
+    """Both chain encodings, the universal chain numbered after the
+    existential one so that they can share one prefix."""
+    enc_e = encode_existential_cnf(prefix, gens)
+    enc_u = encode_universal_dnf(
+        prefix, gens, start_var=max((*prefix.variables, *enc_e.aux_vars)) + 1
+    )
+    return enc_e, enc_u
+
+
 def _cmd_parse(args) -> int:
     _write_text(args.output, serialize_qdimacs(_read_instance(args.instance)))
     return EXIT_OK
@@ -129,17 +139,13 @@ def _cmd_break(args) -> int:
     gens = _load_generators(args, instance)
 
     if args.exists:
-        encoded = encode_existential_cnf(
-            instance.prefix, gens, compress_identity=args.compress_identity
-        )
+        encoded = encode_existential_cnf(instance.prefix, gens)
         augmented, _ = augment_instance(instance, encoded, "conjoin-cnf")
         _write_text(args.output, serialize_qdimacs(augmented))
         return EXIT_OK
 
     if args.forall:
-        encoded = encode_universal_dnf(
-            instance.prefix, gens, compress_identity=args.compress_identity
-        )
+        encoded = encode_universal_dnf(instance.prefix, gens)
         augmented, sidecar = augment_instance(instance, encoded, "attach-dnf")
         assert sidecar is not None
         if args.output is not None and args.dnf_out is not None:
@@ -153,15 +159,7 @@ def _cmd_break(args) -> int:
     # so the output records how many leading clauses that matrix has
     if args.dnf_out is None:
         raise UsageError("break --both needs --dnf-out for the cube sidecar")
-    enc_e = encode_existential_cnf(
-        instance.prefix, gens, compress_identity=args.compress_identity
-    )
-    enc_u = encode_universal_dnf(
-        instance.prefix,
-        gens,
-        start_var=max((*instance.prefix.variables, *enc_e.aux_vars)) + 1,
-        compress_identity=args.compress_identity,
-    )
+    enc_e, enc_u = _encode_both(instance.prefix, gens)
     augmented, sidecar = augment_instance(instance, (enc_e, enc_u), "combined")
     assert sidecar is not None
     augmented = dataclasses.replace(
@@ -181,12 +179,7 @@ def _cmd_verify(args) -> int:
 
     psi_e = lex_leader_formula(instance.prefix, gens)
     psi_u = universal_lex_leader_formula(instance.prefix, gens)
-    enc_e = encode_existential_cnf(instance.prefix, gens)
-    enc_u = encode_universal_dnf(
-        instance.prefix,
-        gens,
-        start_var=max((*instance.prefix.variables, *enc_e.aux_vars)) + 1,
-    )
+    enc_e, enc_u = _encode_both(instance.prefix, gens)
 
     checks = [
         {
@@ -336,11 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_arg(p)
     p.add_argument(
         "--dnf-out", metavar="FILE", help="where to write the DNF cube sidecar"
-    )
-    p.add_argument(
-        "--compress-identity",
-        action="store_true",
-        help="skip fixed positions in the chain encodings",
     )
     _add_group_args(p)
     _add_detection_args(p)

@@ -154,13 +154,6 @@ class AdmissibleMap:
         return {v: evaluate(img, sigma) for v, img in self.images}
 
 
-def apply_to_assignment(
-    g: SignedPermutation | AdmissibleMap, sigma: Mapping[int, bool]
-) -> dict[int, bool]:
-    """Image assignment under a map: result(x) is the image formula's value."""
-    return g.apply_to_assignment(sigma)
-
-
 @dataclass(frozen=True)
 class AdmissibilityReport:
     ok: bool

@@ -22,14 +22,13 @@ from typing import Iterable, Iterator, Mapping
 from .errors import CapExceededError, ValidationError
 from .formulas import Const, Formula, evaluate, substitute
 from .qdimacs import EXISTS, FORALL, Prefix, QbfInstance
-from .groups import SignedPermutation, group_closure
+from .groups import CLOSURE_CAP, SignedPermutation, group_closure
 
 EXISTENTIAL = EXISTS
 UNIVERSAL = FORALL
 
 ENUMERATION_CAP = 2**20
 TRUTH_VAR_CAP = 24
-ORBIT_CLOSURE_CAP = 10_000
 
 History = tuple[bool, ...]
 
@@ -275,7 +274,7 @@ def semantic_orbits(
     generators: Iterable[SignedPermutation],
     cap: int = ENUMERATION_CAP,
     role: str = EXISTENTIAL,
-    closure_cap: int = ORBIT_CLOSURE_CAP,
+    closure_cap: int = CLOSURE_CAP,
 ) -> list[list[Strategy]]:
     """Partition of one player's strategies under the path-wise group action.
 

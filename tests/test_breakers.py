@@ -1,5 +1,6 @@
 """Lex-leader breakers: formulas, encodings, augmentation, verification."""
 
+import itertools
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from qsymbreak.breakers import (
     verify_breaker,
 )
 from qsymbreak.errors import ValidationError
-from qsymbreak.formulas import FALSE, TRUE, Iff, Not, Var, equivalent
+from qsymbreak.formulas import FALSE, TRUE, Iff, Not, Var, equivalent, evaluate
 from qsymbreak.groups import AdmissibleMap, SignedPermutation
 from qsymbreak.qdimacs import (
     EXISTS,
@@ -35,17 +36,16 @@ PREFIX_AEE = Prefix.from_pairs([(FORALL, [1]), (EXISTS, [2, 3])])
 SWAP = SignedPermutation.from_dict({1: 1, 2: 3, 3: 2})
 NEGATE_BOTH = SignedPermutation.from_dict({1: 1, 2: -2, 3: -3})
 
-# the seven clauses of the chain encoding for swap under forall x1, with
-# chain variables 4, 5, 6: unit, two implications, one equality pair for
-# the universal position, one recycling pair for the first existential
+# the five clauses of the chain encoding for swap under forall x1, with
+# chain variables 4, 5: the chain walks only the moved x2, x3, so the
+# fixed universal x1 gets no chain variable; unit, two implications, one
+# recycling pair for the first existential
 EXPECTED_SWAP_CLAUSES = {
     (4,),
-    (-2, 3, -5),
-    (2, -3, -6),
-    (-1, -4, 5),
-    (1, -4, 5),
-    (-2, -5, 6),
-    (3, -5, 6),
+    (-2, 3, -4),
+    (2, -3, -5),
+    (-2, -4, 5),
+    (3, -4, 5),
 }
 
 
@@ -96,13 +96,32 @@ def test_chain_encoding_of_the_swap():
     enc = encode_existential_cnf(PREFIX_AEE, [SWAP])
     assert enc.polarity == EXISTS
     assert set(enc.clauses) == EXPECTED_SWAP_CLAUSES
-    assert len(enc.clauses) == 7
-    assert enc.aux_vars == (4, 5, 6)
-    assert enc.aux_slots == ((4, -1), (5, 0), (6, 1))
+    assert len(enc.clauses) == 5
+    assert enc.aux_vars == (4, 5)
+    assert enc.aux_slots == ((4, -1), (5, 1))
     assert enc.prefix == Prefix.from_pairs(
-        [(EXISTS, [4]), (FORALL, [1]), (EXISTS, [5, 2, 3, 6])]
+        [(EXISTS, [4]), (FORALL, [1]), (EXISTS, [2, 3, 5])]
     )
     assert enc.original_prefix == PREFIX_AEE
+
+
+def test_identity_compression_shortens_the_chain():
+    # x2 is fixed between the swapped x1 and x3: the chain skips it, so
+    # two chain variables serve three prefix positions and x2 is absent
+    prefix = Prefix.from_pairs([(EXISTS, [1, 2, 3])])
+    outer_swap = SignedPermutation.from_dict({1: 3, 2: 2, 3: 1})
+    enc = encode_existential_cnf(prefix, [outer_swap])
+    assert set(enc.clauses) == {
+        (4,),
+        (-1, 3, -4),
+        (1, -3, -5),
+        (-1, -4, 5),
+        (3, -4, 5),
+    }
+    assert all(2 not in map(abs, c) for c in enc.clauses)
+    assert enc.aux_vars == (4, 5)
+    assert enc.aux_slots == ((4, -1), (5, 0))
+    assert enc.prefix == Prefix.from_pairs([(EXISTS, [4, 1, 2, 3, 5])])
 
 
 def test_identity_generator_encodes_to_nothing():
@@ -113,29 +132,14 @@ def test_identity_generator_encodes_to_nothing():
     assert enc.prefix == PREFIX_AEE
 
 
-def test_identity_compression_shortens_the_chain():
-    enc = encode_existential_cnf(PREFIX_AEE, [SWAP], compress_identity=True)
-    assert set(enc.clauses) == {
-        (4,),
-        (-2, 3, -4),
-        (2, -3, -5),
-        (-2, -4, 5),
-        (3, -4, 5),
-    }
-    assert enc.aux_vars == (4, 5)
-    assert enc.prefix == Prefix.from_pairs(
-        [(EXISTS, [4]), (FORALL, [1]), (EXISTS, [2, 3, 5])]
-    )
-
-
 def test_universal_encoding_negates_the_flipped_chain():
     prefix = Prefix.from_pairs([(EXISTS, [1]), (FORALL, [2, 3])])
     enc = encode_universal_dnf(prefix, [SWAP])
     assert enc.polarity == FORALL
     assert set(enc.cubes) == {tuple(-l for l in c) for c in EXPECTED_SWAP_CLAUSES}
-    assert enc.aux_vars == (4, 5, 6)
+    assert enc.aux_vars == (4, 5)
     assert enc.prefix == Prefix.from_pairs(
-        [(FORALL, [4]), (EXISTS, [1]), (FORALL, [5, 2, 3, 6])]
+        [(FORALL, [4]), (EXISTS, [1]), (FORALL, [2, 3, 5])]
     )
     with pytest.raises(ValidationError):
         enc.clauses
@@ -167,7 +171,48 @@ def test_start_var_must_clear_the_prefix():
     with pytest.raises(ValidationError, match="start_var"):
         encode_existential_cnf(PREFIX_AEE, [SWAP], start_var=3)
     enc = encode_existential_cnf(PREFIX_AEE, [SWAP], start_var=10)
-    assert enc.aux_vars == (10, 11, 12)
+    assert enc.aux_vars == (10, 11)
+
+
+def _chain_extensions(sigma, aux_vars):
+    for bits in itertools.product((False, True), repeat=len(aux_vars)):
+        yield {**sigma, **dict(zip(aux_vars, bits))}
+
+
+def _satisfies(tau, lit):
+    return tau[abs(lit)] == (lit > 0)
+
+
+def test_encodings_project_onto_their_formula_breakers():
+    # for every play sigma of the original variables: the clauses are
+    # satisfiable over the chain variables exactly when the existential
+    # formula breaker holds, and every chain assignment hits a cube
+    # exactly when the universal formula breaker holds
+    rng = random.Random(1802)
+    verdicts = []
+    for _ in range(80):
+        prefix = oracles.random_prefix(rng, rng.randint(1, 4))
+        gens = [oracles.random_involution(rng, prefix) for _ in range(rng.randint(1, 3))]
+        enc_e = encode_existential_cnf(prefix, gens)
+        enc_u = encode_universal_dnf(prefix, gens)
+        psi_e = lex_leader_formula(prefix, gens).formula
+        psi_u = universal_lex_leader_formula(prefix, gens).formula
+        for values in itertools.product((False, True), repeat=prefix.n):
+            sigma = dict(zip(prefix.variables, values))
+            some_model = any(
+                all(any(_satisfies(tau, l) for l in c) for c in enc_e.clauses)
+                for tau in _chain_extensions(sigma, enc_e.aux_vars)
+            )
+            always_hit = all(
+                any(all(_satisfies(tau, l) for l in c) for c in enc_u.cubes)
+                for tau in _chain_extensions(sigma, enc_u.aux_vars)
+            )
+            assert some_model == evaluate(psi_e, sigma)
+            assert always_hit == evaluate(psi_u, sigma)
+            verdicts.append((some_model, always_hit))
+    # each breaker keeps some plays and excludes others
+    assert len(set(verdicts)) == 4
+    assert len(verdicts) > 500
 
 
 def test_existential_breakers_are_true_qbfs():

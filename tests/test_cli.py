@@ -91,6 +91,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run(capsys, "break", "--exists", "--forall", path)[0] == 1
     assert run(capsys, "gen", "random", "-n", "4", "-m", "3")[0] == 1  # no seed
     assert run(capsys, "break", "--both", path)[0] == 1  # no --dnf-out
+    assert run(capsys, "break", "--exists", "--compress-identity", path)[0] == 1
     code, _, err = run(capsys, "break", "--exists", "--generators", "-", "-")
     assert code == 1
     assert "stdin" in err
