@@ -143,30 +143,25 @@ def _element_conjunct(prefix: Prefix, g: SignedPermutation) -> Formula:
     return conj(tuple(terms))
 
 
-def lex_leader_formula(
-    prefix: Prefix, generators, product_length: int = 1
-) -> BreakerFormula:
+def lex_leader_formula(prefix: Prefix, generators) -> BreakerFormula:
     """Build the existential lex-leader breaker for the given generators.
 
-    One conjunct per selected group element; conjuncts exist only for
-    existential positions, while the equality guards range over all
-    earlier positions.  Equality guards and implications whose image
-    equals the variable are trivially true and omitted.  An empty
-    selection yields the constant-true breaker.
+    One conjunct per distinct non-identity generator (pass the output of
+    :func:`select_group_elements` to break with generator products too);
+    conjuncts exist only for existential positions, while the equality
+    guards range over all earlier positions.  Equality guards and
+    implications whose image equals the variable are trivially true and
+    omitted.  An empty selection yields the constant-true breaker.
     """
-    elements = select_group_elements(
-        _checked_generators(prefix, generators), product_length
-    )
+    elements = select_group_elements(_checked_generators(prefix, generators))
     parts = tuple(_element_conjunct(prefix, g) for g in elements)
     return BreakerFormula(EXISTS, parts, elements)
 
 
-def universal_lex_leader_formula(
-    prefix: Prefix, generators, product_length: int = 1
-) -> BreakerFormula:
+def universal_lex_leader_formula(prefix: Prefix, generators) -> BreakerFormula:
     """Build the universal breaker: the negated existential breaker of
     the flipped prefix."""
-    base = lex_leader_formula(prefix.flipped(), generators, product_length)
+    base = lex_leader_formula(prefix.flipped(), generators)
     return BreakerFormula(FORALL, base.parts, base.generators)
 
 
@@ -250,16 +245,6 @@ def _chain_for_generator(
     return clauses, slots
 
 
-def _dedup(terms: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    seen: set[tuple[int, ...]] = set()
-    out: list[tuple[int, ...]] = []
-    for t in terms:
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return tuple(out)
-
-
 def _extended_prefix(prefix: Prefix, slot_items) -> Prefix:
     """Insert aux variables after their slots; -1 means before everything.
 
@@ -308,7 +293,7 @@ def _encode(
         next_aux += len(gslots)
     extended = _extended_prefix(prefix, ((a, s, polarity) for a, s in slots))
     return EncodedBreaker(
-        polarity, _dedup(terms), tuple(slots), extended, prefix, gens
+        polarity, tuple(dict.fromkeys(terms)), tuple(slots), extended, prefix, gens
     )
 
 
@@ -453,11 +438,7 @@ class BreakerReport:
 
 
 def verify_breaker(
-    prefix: Prefix,
-    generators,
-    psi,
-    cap: int = ENUMERATION_CAP,
-    polarity: str | None = None,
+    prefix: Prefix, generators, psi, cap: int = ENUMERATION_CAP
 ) -> BreakerReport:
     """Check that ``psi`` breaks symmetry without losing any orbit.
 
@@ -466,16 +447,12 @@ def verify_breaker(
     whose plays ``psi`` always holds; the universal dual asks for a
     universal strategy with some play falsifying it.  ``psi`` may be a
     :class:`BreakerFormula` (the polarity is taken from it) or a plain
-    formula (existential unless ``polarity`` says otherwise).
+    formula, which is checked as an existential breaker.
     """
     if isinstance(psi, BreakerFormula):
-        formula = psi.formula
-        pol = psi.polarity if polarity is None else polarity
+        formula, pol = psi.formula, psi.polarity
     else:
-        formula = psi
-        pol = EXISTS if polarity is None else polarity
-    if pol not in (EXISTS, FORALL):
-        raise ValidationError(f"bad polarity {pol!r}")
+        formula, pol = psi, EXISTS
     role = EXISTENTIAL if pol == EXISTS else UNIVERSAL
     target = pol == EXISTS
     orbits = semantic_orbits(prefix, list(generators), cap=cap, role=role)

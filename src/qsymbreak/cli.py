@@ -32,7 +32,7 @@ from .detect import DEFAULT_BUDGET, detect_symmetries
 from .errors import CapExceededError, QdimacsParseError, ValidationError
 from .groups import format_generator, parse_generators
 from .qdimacs import QbfInstance, parse_qdimacs, serialize_dnf, serialize_qdimacs
-from .strategies import qbf_truth
+from .strategies import EXISTENTIAL, UNIVERSAL, check_enumeration_cap, qbf_truth
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -174,6 +174,11 @@ def _cmd_break(args) -> int:
 def _cmd_verify(args) -> int:
     _check_stream_conflict(args)
     instance = _read_instance(args.instance)
+    # the orbit-coverage checks enumerate both players' strategies; fail
+    # before symmetry detection and the truth checks when the prefix alone
+    # shows that is too many
+    for role in (EXISTENTIAL, UNIVERSAL):
+        check_enumeration_cap(instance.prefix, role, args.cap)
     gens = _load_generators(args, instance)
     base = qbf_truth(instance)
 

@@ -203,25 +203,7 @@ def substitute(formula: Formula, partial: Mapping[int, bool]) -> Formula:
 
     The result contains no variable of the partial assignment's domain.
     """
-    if isinstance(formula, Const):
-        return formula
-    if isinstance(formula, Var):
-        if formula.id in partial:
-            return TRUE if partial[formula.id] else FALSE
-        return formula
-    if isinstance(formula, Not):
-        return neg(substitute(formula.child, partial))
-    if isinstance(formula, And):
-        return conj(substitute(c, partial) for c in formula.children)
-    if isinstance(formula, Or):
-        return disj(substitute(c, partial) for c in formula.children)
-    if isinstance(formula, Implies):
-        return implies(substitute(formula.left, partial), substitute(formula.right, partial))
-    if isinstance(formula, Iff):
-        return iff(substitute(formula.left, partial), substitute(formula.right, partial))
-    if isinstance(formula, Xor):
-        return xor(substitute(formula.left, partial), substitute(formula.right, partial))
-    raise TypeError(f"not a formula node: {formula!r}")
+    return map_variables(formula, {v: TRUE if value else FALSE for v, value in partial.items()})
 
 
 def map_variables(formula: Formula, images: Mapping[int, Formula]) -> Formula:

@@ -21,12 +21,11 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import CapExceededError, ValidationError
-from .formulas import Formula, Not, Var, equivalent, evaluate, map_variables, variables
+from .formulas import Formula, Not, Var, evaluate, map_variables, variables
 from .qdimacs import Prefix, QbfInstance, normalize_clause
 
 ADMISSIBLE_VAR_CAP = 16
 CLOSURE_CAP = 10_000
-TRUTH_TABLE_SYMMETRY_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -218,24 +217,15 @@ def check_admissible(
     return AdmissibilityReport(ok=not violations, violations=tuple(violations))
 
 
-def is_syntactic_symmetry(
-    g: SignedPermutation,
-    instance: QbfInstance,
-    use_truth_table: bool = False,
-    cap: int = TRUTH_TABLE_SYMMETRY_CAP,
-) -> bool:
-    """Does g map the matrix to an equivalent matrix?
+def is_syntactic_symmetry(g: SignedPermutation, instance: QbfInstance) -> bool:
+    """Does g map the clause multiset to itself?
 
-    The default fast path checks that g maps the clause multiset to itself,
-    which is sufficient but not necessary. With use_truth_table=True the
-    matrix and its image are compared semantically instead (small n only).
+    This is sufficient for g to map the matrix to an equivalent matrix,
+    but not necessary.
     """
     report = check_admissible(g, instance.prefix)
     if not report.ok:
         raise ValidationError(f"generator is not admissible: {report.violations}")
-    if use_truth_table:
-        phi = instance.to_formula()
-        return equivalent(phi, g.apply_to_formula(phi), vars=instance.prefix.variables, cap=cap)
     return sorted(g.apply_to_clauses(instance.clauses)) == sorted(instance.clauses)
 
 

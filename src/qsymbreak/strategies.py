@@ -5,7 +5,14 @@ player the tree has a single labeled edge, at opponent levels it branches
 both ways. Rather than pointer trees, a strategy is stored as an edge-label
 map per owned variable, indexed by the opponent-assignment history up to
 that variable. The two views are equivalent and this one makes equality,
-hashing and enumeration cheap.
+hashing and enumeration cheap. ``_slots`` gives the layout every strategy
+of a player shares: its owned variables in prefix order, each with the
+number of opponent variables quantified before it.
+
+The truth oracle is one memoized recursion over the prefix: it splits the
+next variable and short-circuits on its quantifier. A clause matrix is
+restricted clause by clause and a formula matrix by substitution; both
+restrictions report a matrix whose value is settled as a bool.
 
 The module also computes semantic orbits: the partition of one player's
 strategies induced by a syntactic symmetry group acting path-wise.
@@ -31,15 +38,25 @@ ENUMERATION_CAP = 2**20
 TRUTH_VAR_CAP = 24
 
 History = tuple[bool, ...]
+Clauses = tuple[tuple[int, ...], ...]
 
 
-def _roles(prefix: Prefix, role: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(owned variables, opponent variables) in prefix order."""
+def _slots(prefix: Prefix, role: str) -> tuple[tuple[int, int], ...]:
+    """(owned variable, opponent variables before it) in prefix order."""
     if role not in (EXISTENTIAL, UNIVERSAL):
         raise ValidationError(f"role must be 'e' or 'a', got {role!r}")
-    owned = tuple(v for v in prefix.variables if prefix.quantifier_of(v) == role)
-    other = tuple(v for v in prefix.variables if prefix.quantifier_of(v) != role)
-    return owned, other
+    slots: list[tuple[int, int]] = []
+    before = 0
+    for block in prefix.blocks:
+        if block.quantifier == role:
+            slots.extend((v, before) for v in block.variables)
+        else:
+            before += len(block.variables)
+    return tuple(slots)
+
+
+def _histories(length: int) -> Iterator[History]:
+    return itertools.product((False, True), repeat=length)
 
 
 @dataclass(frozen=True)
@@ -57,15 +74,13 @@ class Strategy:
         role: str,
         tables: Mapping[int, Mapping[History, bool]],
     ) -> "Strategy":
-        owned, other = _roles(prefix, role)
-        if set(tables) != set(owned):
+        slots = _slots(prefix, role)
+        if set(tables) != {v for v, _ in slots}:
             raise ValidationError("strategy must define exactly the owned variables")
         moves = []
-        for v in owned:
-            before = sum(1 for u in other if prefix.position_of(u) < prefix.position_of(v))
+        for v, before in slots:
             table = tables[v]
-            expect = set(itertools.product((False, True), repeat=before))
-            if set(table) != expect:
+            if set(table) != set(_histories(before)):
                 raise ValidationError(
                     f"variable {v} needs one label per opponent history of length {before}"
                 )
@@ -82,169 +97,149 @@ class Strategy:
     @cached_property
     def paths(self) -> tuple[dict[int, bool], ...]:
         """All total assignments read off root-to-leaf paths, opponent order."""
-        _, other = _roles(self.prefix, self.role)
+        tables = self._tables
+        order = self.prefix.variables
+        opponents = sum(1 for v in order if v not in tables)
         out = []
-        for values in itertools.product((False, True), repeat=len(other)):
-            opp = dict(zip(other, values))
+        for values in _histories(opponents):
             sigma: dict[int, bool] = {}
-            history: list[bool] = []
-            for v in self.prefix.variables:
-                if v in opp:
-                    sigma[v] = opp[v]
-                    history.append(opp[v])
+            seen = 0  # opponent moves so far; values[:seen] is the history
+            for v in order:
+                table = tables.get(v)
+                if table is None:
+                    sigma[v] = values[seen]
+                    seen += 1
                 else:
-                    sigma[v] = self.label(v, tuple(history))
+                    sigma[v] = table[values[:seen]]
             out.append(sigma)
         return tuple(out)
 
 
 def count_strategies(prefix: Prefix, role: str) -> int:
     """2 ** (sum over owned variables of 2 ** opponents-before-it)."""
-    owned, other = _roles(prefix, role)
-    other_positions = [prefix.position_of(v) for v in other]
-    slots = 0
-    for v in owned:
-        before = sum(1 for p in other_positions if p < prefix.position_of(v))
-        slots += 2**before
-    return 2**slots
+    return 2 ** sum(2**before for _, before in _slots(prefix, role))
+
+
+def check_enumeration_cap(prefix: Prefix, role: str, cap: int) -> None:
+    """Raise CapExceededError when the role has more than ``cap`` strategies.
+
+    Works on the exponent and never builds a large count: 2**bits > cap
+    exactly when bits >= cap.bit_length(). A slot with that many opponents
+    before it exceeds the cap alone, so each term is clamped there and the
+    sum stays small however long the prefix is.
+    """
+    need = max(cap, 0).bit_length()
+    befores = [before for _, before in _slots(prefix, role)]
+    bits = sum(2 ** min(before, need) for before in befores)
+    if bits < need:
+        return
+    if max(befores, default=0) < need and bits <= 64:
+        total = str(2**bits)
+    else:
+        total = f"at least 2**{bits}"
+    raise CapExceededError(f"{total} strategies exceed enumeration cap {cap}")
 
 
 def enumerate_strategies(
     prefix: Prefix, role: str, cap: int = ENUMERATION_CAP
 ) -> Iterator[Strategy]:
     """All strategies exactly once, lexicographic in (level, history, label)."""
-    total = count_strategies(prefix, role)
-    if total > cap:
-        raise CapExceededError(f"{total} strategies exceed enumeration cap {cap}")
-    owned, other = _roles(prefix, role)
-    slots: list[tuple[int, History]] = []
-    for v in owned:
-        before = sum(1 for u in other if prefix.position_of(u) < prefix.position_of(v))
-        for history in itertools.product((False, True), repeat=before):
-            slots.append((v, history))
-    for labels in itertools.product((False, True), repeat=len(slots)):
-        tables: dict[int, dict[History, bool]] = {v: {} for v in owned}
-        for (v, history), value in zip(slots, labels):
+    check_enumeration_cap(prefix, role, cap)
+    slots = _slots(prefix, role)
+    cells = [(v, history) for v, before in slots for history in _histories(before)]
+    for labels in _histories(len(cells)):
+        tables: dict[int, dict[History, bool]] = {v: {} for v, _ in slots}
+        for (v, history), value in zip(cells, labels):
             tables[v][history] = value
         yield Strategy.from_tables(prefix, role, tables)
 
 
 def random_strategy(prefix: Prefix, role: str, rng: random.Random) -> Strategy:
     """Uniformly random strategy; usable when enumeration would be too large."""
-    owned, other = _roles(prefix, role)
-    tables: dict[int, dict[History, bool]] = {}
-    for v in owned:
-        before = sum(1 for u in other if prefix.position_of(u) < prefix.position_of(v))
-        tables[v] = {
-            history: rng.random() < 0.5
-            for history in itertools.product((False, True), repeat=before)
-        }
+    tables = {
+        v: {history: rng.random() < 0.5 for history in _histories(before)}
+        for v, before in _slots(prefix, role)
+    }
     return Strategy.from_tables(prefix, role, tables)
 
 
-def _split_target(target: QbfInstance | tuple[Prefix, Formula]):
+def _split_target(
+    target: QbfInstance | tuple[Prefix, Formula],
+) -> tuple[Prefix, Clauses | Formula]:
     if isinstance(target, QbfInstance):
-        return target.prefix, target.clauses, None
+        return target.prefix, tuple(target.clauses)
     prefix, formula = target
-    return prefix, None, formula
+    return prefix, formula
 
 
-def _clause_value(clauses: Iterable[tuple[int, ...]], sigma: Mapping[int, bool]) -> bool:
-    return all(any((l > 0) == sigma[abs(l)] for l in clause) for clause in clauses)
+def _holds(matrix: Clauses | Formula, sigma: Mapping[int, bool]) -> bool:
+    """Value of a clause or formula matrix under a total assignment."""
+    if isinstance(matrix, Formula):
+        return evaluate(matrix, sigma)
+    return all(any((l > 0) == sigma[abs(l)] for l in clause) for clause in matrix)
 
 
 def strategy_value(target: QbfInstance | tuple[Prefix, Formula], s: Strategy) -> bool:
     """Conjunction (existential role) or disjunction (universal) over paths."""
-    prefix, clauses, formula = _split_target(target)
+    prefix, matrix = _split_target(target)
     if s.prefix != prefix:
         raise ValidationError("strategy was built for a different prefix")
-    if clauses is not None:
-        values = (_clause_value(clauses, sigma) for sigma in s.paths)
-    else:
-        values = (evaluate(formula, sigma) for sigma in s.paths)
+    values = (_holds(matrix, sigma) for sigma in s.paths)
     return all(values) if s.role == EXISTENTIAL else any(values)
+
+
+def _restrict_clauses(clauses: Clauses, var: int, value: bool) -> Clauses | bool:
+    """Drop the clauses the assignment satisfies and strip its false literal
+    from the rest; a bool once the value is settled."""
+    true_lit = var if value else -var
+    out = []
+    for clause in clauses:
+        if true_lit in clause:
+            continue
+        if -true_lit in clause:
+            clause = tuple(l for l in clause if l != -true_lit)
+            if not clause:
+                return False
+        out.append(clause)
+    return tuple(out) if out else True
+
+
+def _restrict_formula(formula: Formula, var: int, value: bool) -> Formula | bool:
+    """Substitute the assignment; a bool once the formula folds to a constant."""
+    out = substitute(formula, {var: value})
+    return out.value if isinstance(out, Const) else out
 
 
 def qbf_truth(target: QbfInstance | tuple[Prefix, Formula], cap: int = TRUTH_VAR_CAP) -> bool:
     """Recursive game-semantics truth value with short-circuiting."""
-    prefix, clauses, formula = _split_target(target)
+    prefix, matrix = _split_target(target)
     if prefix.n > cap:
         raise CapExceededError(f"{prefix.n} variables exceed truth cap {cap}")
     order = prefix.variables
-    quantifiers = tuple(prefix.quantifier_of(v) for v in order)
-    if clauses is not None:
-        return _truth_clauses(order, quantifiers, tuple(clauses))
-    return _truth_formula(order, quantifiers, formula)
+    universal = tuple(prefix.quantifier_of(v) == FORALL for v in order)
+    if isinstance(matrix, Formula):
+        restrict = _restrict_formula
+        start = matrix.value if isinstance(matrix, Const) else matrix
+    else:
+        restrict = _restrict_clauses
+        # no clauses is true, an empty clause is false
+        start = matrix if matrix and () not in matrix else not matrix
+    memo: dict[tuple[int, Clauses | Formula], bool] = {}
 
-
-def _truth_clauses(order, quantifiers, clauses) -> bool:
-    memo: dict[tuple[int, tuple[tuple[int, ...], ...]], bool] = {}
-
-    def rec(idx: int, remaining: tuple[tuple[int, ...], ...]) -> bool:
-        if not remaining:
-            return True
-        if idx == len(order):
-            # only empty clauses can remain once every variable is assigned
-            return False
-        key = (idx, remaining)
-        if key in memo:
-            return memo[key]
-        v = order[idx]
-        want_all = quantifiers[idx] == FORALL
-        result = want_all
-        for value in (False, True):
-            reduced = []
-            dead = False
-            for clause in remaining:
-                if v in map(abs, clause):
-                    kept = tuple(l for l in clause if abs(l) != v)
-                    if (v if value else -v) in clause:
-                        continue  # clause satisfied
-                    if not kept:
-                        dead = True
-                        break
-                    reduced.append(kept)
-                else:
-                    reduced.append(clause)
-            sub = False if dead else rec(idx + 1, tuple(reduced))
-            if want_all and not sub:
-                result = False
-                break
-            if not want_all and sub:
-                result = True
-                break
-        memo[key] = result
-        return result
-
-    return rec(0, clauses)
-
-
-def _truth_formula(order, quantifiers, formula: Formula) -> bool:
-    memo: dict[tuple[int, Formula], bool] = {}
-
-    def rec(idx: int, current: Formula) -> bool:
-        if isinstance(current, Const):
-            return current.value
+    def rec(idx: int, current) -> bool:
+        if isinstance(current, bool):
+            return current
         if idx == len(order):
             raise ValidationError("formula mentions variables outside the prefix")
         key = (idx, current)
         if key in memo:
             return memo[key]
         v = order[idx]
-        want_all = quantifiers[idx] == FORALL
-        result = want_all
-        for value in (False, True):
-            sub = rec(idx + 1, substitute(current, {v: value}))
-            if want_all and not sub:
-                result = False
-                break
-            if not want_all and sub:
-                result = True
-                break
-        memo[key] = result
+        branches = (rec(idx + 1, restrict(current, v, value)) for value in (False, True))
+        result = memo[key] = all(branches) if universal[idx] else any(branches)
         return result
 
-    return rec(0, formula)
+    return rec(0, start)
 
 
 def common_path(s: Strategy, t: Strategy) -> dict[int, bool]:

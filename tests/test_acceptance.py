@@ -15,6 +15,7 @@ import pytest
 import oracles
 from qsymbreak.benchmarks import gen_kbkf, kbkf_level_symmetry
 from qsymbreak.breakers import (
+    BreakerFormula,
     augment_instance,
     augmented_formula,
     encode_existential_cnf,
@@ -169,7 +170,7 @@ def test_criterion_05_verification_duality():
             psi = lex_leader_formula(prefix, [g]).formula
         forward = verify_breaker(prefix, [g], psi).ok
         dual = verify_breaker(
-            prefix.flipped(), [g], Not(psi), polarity=FORALL
+            prefix.flipped(), [g], BreakerFormula(FORALL, (psi,), (g,))
         ).ok
         assert forward == dual
         outcomes.add(forward)

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from qsymbreak import cli
 from qsymbreak.cli import main
 from qsymbreak.formulas import And, Or, clauses_to_formula, cubes_to_formula
 from qsymbreak.groups import is_syntactic_symmetry, parse_generators
@@ -267,6 +268,33 @@ def test_verify_cap_exceeded(tmp_path, capsys):
     code, _, err = run(capsys, "verify", path)
     assert code == 3
     assert "cap exceeded" in err
+
+
+def test_verify_checks_enumeration_cap_before_truth(tmp_path, capsys, monkeypatch):
+    # five universals ahead of one existential give 2**32 existential
+    # strategies, which the prefix alone shows to be over --cap
+    wide = "p cnf 6 1\na 1 2 3 4 5 0\ne 6 0\n1 6 0\n"
+    path = write(tmp_path, "wide.qdimacs", wide)
+
+    def no_truth(*_args, **_kwargs):
+        raise AssertionError("verify ran the truth oracle past the enumeration cap")
+
+    monkeypatch.setattr(cli, "qbf_truth", no_truth)
+    code, _, err = run(capsys, "verify", path)
+    assert code == 3
+    assert "enumeration cap" in err
+
+
+def test_verify_enumeration_cap_on_long_prefix(tmp_path, capsys):
+    # twenty universals ahead of ten existentials: the count 2**(10 * 2**20)
+    # is far too large to build, so the cap check works on its exponent
+    universals = " ".join(map(str, range(1, 21)))
+    existentials = " ".join(map(str, range(21, 31)))
+    long_prefix = f"p cnf 30 1\na {universals} 0\ne {existentials} 0\n1 21 0\n"
+    path = write(tmp_path, "long.qdimacs", long_prefix)
+    code, _, err = run(capsys, "verify", path)
+    assert code == 3
+    assert "enumeration cap" in err
 
 
 def test_solve_cap_exceeded(tmp_path, capsys):

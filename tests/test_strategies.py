@@ -118,6 +118,32 @@ def test_conjunction_distributes_over_existential_value():
         )
 
 
+def test_random_strategy_is_pinned_for_a_seed():
+    prefix = Prefix.from_pairs(
+        [(EXISTS, [1]), (FORALL, [2]), (EXISTS, [3]), (FORALL, [4]), (EXISTS, [5])]
+    )
+    rng = random.Random(7)
+    assert random_strategy(prefix, EXISTENTIAL, rng).moves == (
+        (1, (((), True),)),
+        (3, (((False,), True), ((True,), False))),
+        (5, (
+            ((False, False), True),
+            ((False, True), False),
+            ((True, False), True),
+            ((True, True), True),
+        )),
+    )
+    assert random_strategy(prefix, UNIVERSAL, rng).moves == (
+        (2, (((False,), False), ((True,), True))),
+        (4, (
+            ((False, False), True),
+            ((False, True), True),
+            ((True, False), True),
+            ((True, True), True),
+        )),
+    )
+
+
 def test_truth_of_iff_games():
     assert qbf_truth(IFF_12) is True
     flipped = QbfInstance(
@@ -139,10 +165,24 @@ def test_truth_cap():
 
 
 def test_truth_matches_unpruned_oracle():
+    # the clause matrix and the same matrix as a formula take the two
+    # restrictions of the one recursion
     rng = random.Random(512)
     for _ in range(150):
         inst = oracles.random_instance(rng, rng.randint(1, 6), rng.randint(0, 8))
-        assert qbf_truth(inst) == oracles.brute_qbf_truth(inst)
+        expected = oracles.brute_qbf_truth(inst)
+        assert qbf_truth(inst) == expected
+        assert qbf_truth((inst.prefix, inst.to_formula())) == expected
+
+
+def test_empty_clause_is_false():
+    assert qbf_truth(QbfInstance(prefix=Prefix(), clauses=((),))) is False
+    assert qbf_truth(QbfInstance(prefix=PREFIX_AE, clauses=((1, 2), ()))) is False
+
+
+def test_formula_outside_the_prefix_is_rejected():
+    with pytest.raises(ValidationError, match="outside the prefix"):
+        qbf_truth((PREFIX_AE, Iff(Var(1), Var(3))))
 
 
 def test_common_path_forced_intersection():
