@@ -36,12 +36,13 @@ def main():
     print(f"refined colors: {refine_colors(graph)}")
 
     automorphisms = find_automorphisms(graph)
-    print(f"\nautomorphism search: {len(automorphisms)} non-identity maps,"
+    print(f"\nautomorphism search: {len(automorphisms)} generators,"
           f" complete={automorphisms.complete},"
-          f" {automorphisms.nodes_expanded} nodes expanded")
+          f" {automorphisms.nodes_expanded} nodes expanded,"
+          f" group order {automorphisms.order}")
 
     result = detect_symmetries(instance)
-    print("detected generators:")
+    print(f"detected generators (group order {result.group_order}):")
     for g in result.generators:
         print(f"  {format_generator(g)}")
 

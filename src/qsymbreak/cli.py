@@ -1,9 +1,10 @@
 """Command-line surface binding the modules into pipelines.
 
-Subcommands: ``parse`` (validate and normalize), ``detect`` (emit
-generators in cycle notation), ``break`` (emit an augmented instance
-and/or a DNF sidecar), ``verify`` (oracle checks at desk scale),
-``solve`` (brute-force truth value) and ``gen`` (benchmark instances).
+Subcommands: ``parse`` (validate and normalize), ``detect`` (emit a
+generating set of the symmetry group in cycle notation), ``break`` (emit
+an augmented instance and/or a DNF sidecar), ``verify`` (oracle checks at
+desk scale), ``solve`` (brute-force truth value) and ``gen`` (benchmark
+instances).
 
 Exit codes: 0 ok, 1 usage, 2 input error, 3 cap exceeded,
 10 verification failure.  ``-`` names standard input or output.  All
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .benchmarks import gen_kbkf, gen_random_qbf
@@ -89,13 +91,7 @@ def _load_generators(args, instance: QbfInstance):
             _read_text(args.generators), instance.prefix.variables
         )
     else:
-        gens = list(
-            detect_symmetries(
-                instance,
-                budget=args.budget,
-                collapse_binary=args.collapse_binary,
-            ).generators
-        )
+        gens = list(detect_symmetries(instance, budget=args.budget).generators)
     if args.product_length > 1:
         gens = list(select_group_elements(gens, args.product_length))
     return gens
@@ -118,12 +114,16 @@ def _cmd_parse(args) -> int:
 
 def _cmd_detect(args) -> int:
     instance = _read_instance(args.instance)
-    result = detect_symmetries(
-        instance, budget=args.budget, collapse_binary=args.collapse_binary
-    )
+    result = detect_symmetries(instance, budget=args.budget)
     for g in result.generators:
         print(format_generator(g))
-    if not result.complete:
+    if result.complete:
+        try:
+            order = str(result.group_order)
+        except ValueError:  # more digits than the interpreter converts
+            order = f"about 10^{math.log10(result.group_order):.1f}"
+        print(f"group order {order}", file=sys.stderr)
+    else:
         print(
             "search budget exhausted; the generator list may be incomplete",
             file=sys.stderr,
@@ -279,11 +279,6 @@ def _add_detection_args(parser):
         default=DEFAULT_BUDGET,
         metavar="N",
         help="search-node budget for symmetry detection",
-    )
-    parser.add_argument(
-        "--collapse-binary",
-        action="store_true",
-        help="model width-2 clauses as edges in the detection graph",
     )
 
 

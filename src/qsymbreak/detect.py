@@ -7,10 +7,16 @@ vertices per variable joined by a negation edge, one vertex per clause
 joined to the vertices of its literals, literal colors given by the
 quantifier-block index and a single separate color for clauses.
 
-Automorphisms are found by backtracking over color cells with iterative
-refinement at every node, comparing each discrete leaf against the first
-one reached.  Every candidate that survives the literal-pairing check and
-the syntactic-symmetry test is reported as a generator.
+The search returns a generating set of the automorphism group, not the
+group itself: one first path of individualization and refinement, then,
+level by level from the bottom, one automorphism per orbit of the cell
+that the automorphisms found so far do not already join (the first-path
+search of nauty and saucy).  Every generator is checked as a graph
+automorphism and, after conversion, as a syntactic symmetry.  Literal
+vertices are joined only by negation edges, so every automorphism keeps
+each variable's literal pair together; the group of signed permutations
+is the automorphism group divided by the permutations of clause vertices
+that share one literal set.
 """
 
 from __future__ import annotations
@@ -75,16 +81,12 @@ class ColoredGraph:
         return (u, v) in self.edge_set if u < v else (v, u) in self.edge_set
 
 
-def build_symmetry_graph(
-    instance: QbfInstance, collapse_binary: bool = False
-) -> ColoredGraph:
+def build_symmetry_graph(instance: QbfInstance) -> ColoredGraph:
     """Encode an instance as a colored graph for automorphism search.
 
     Variable ``v`` at position ``i`` of the prefix owns vertices ``2i``
-    (positive literal) and ``2i + 1`` (negative literal).  With
-    ``collapse_binary`` set, width-2 clauses become a direct edge between
-    their two literal vertices instead of a clause vertex; this shrinks
-    the graph but relies on the downstream pairing filter for soundness.
+    (positive literal) and ``2i + 1`` (negative literal); every clause
+    gets one vertex after those.
     """
     prefix = instance.prefix
     order = prefix.variables
@@ -104,17 +106,11 @@ def build_symmetry_graph(
     edges = {(2 * i, 2 * i + 1) for i in range(len(order))}
     next_vertex = 2 * len(order)
     for idx, clause in enumerate(instance.clauses):
-        lits = set(clause)
-        if collapse_binary and len(lits) == 2:
-            a, b = sorted(lit_vertex(lit) for lit in lits)
-            if a != b:
-                edges.add((a, b))
-            continue
         cv = next_vertex
         next_vertex += 1
         colors.append(clause_color)
         tags.append(("clause", idx))
-        for lit in lits:
+        for lit in set(clause):
             lv = lit_vertex(lit)
             edges.add((min(cv, lv), max(cv, lv)))
 
@@ -151,11 +147,14 @@ def refine_colors(
 
 @dataclass(frozen=True)
 class AutomorphismResult:
-    """Vertex permutations found by the search, with budget accounting."""
+    """A generating set of the graph's automorphism group, with budget
+    accounting.  ``order`` is the group order, or ``None`` when the budget
+    ran out before the search was complete."""
 
     permutations: tuple[tuple[int, ...], ...]
     complete: bool
     nodes_expanded: int
+    order: int | None = None
 
     def __iter__(self):
         return iter(self.permutations)
@@ -168,37 +167,58 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _target_cell(coloring: tuple[int, ...]) -> list[int] | None:
+    """The non-singleton cell of the smallest color, or None at a leaf."""
+    counts = Counter(coloring)
+    target = min((c for c, k in counts.items() if k > 1), default=None)
+    if target is None:
+        return None
+    return [v for v, c in enumerate(coloring) if c == target]
+
+
 def find_automorphisms(
     graph: ColoredGraph, budget: int = DEFAULT_BUDGET
 ) -> AutomorphismResult:
-    """Search for all color- and adjacency-preserving vertex permutations.
+    """Search for a strong generating set of the graph's automorphisms.
 
-    Backtracking over the first non-singleton color cell at each node,
-    with refinement after every individualization.  Each discrete leaf is
-    matched against the first leaf by color; matches that verify as
-    automorphisms are harvested.  The identity is never reported.  When
-    the node-expansion ``budget`` runs out, the permutations found so far
-    are returned with ``complete=False``.
+    The first path individualizes, at each level ``d``, the first vertex
+    ``v_d`` of the first non-singleton cell and refines, down to a
+    discrete leaf.  The levels are then visited bottom-up: at level ``d``
+    every other vertex ``w`` of the cell is tried unless it already lies
+    in the orbit of ``v_d``, or of a vertex refuted at this level, under
+    the automorphisms found so far (all of which fix ``v_0..v_{d-1}``).
+    The subtree of ``w`` is searched depth first only until a node gives
+    a verified automorphism, which joins the generators: at every node
+    whose cell sizes match the first path at that depth, each cell of
+    the first path is mapped onto the cell of the same color in vertex
+    order (at a leaf, the map of the first leaf onto it; earlier, the
+    guess that the cells left are fixed, as in saucy).  The orbit of
+    ``v_d`` then has its full size, and the group order is the product of
+    those sizes.  Each generator merges at least two orbits, so there
+    are fewer than ``n_vertices``; the identity is never reported.  Every
+    node counts against ``budget``; when it runs out, the generators
+    found so far are returned with ``complete=False``.
     """
     n = graph.n_vertices
     edges = graph.edges
     colors0 = graph.colors
     edge_set = graph.edge_set
-    found: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    first_leaf: list[tuple[int, ...]] = []
-    shapes: dict[int, Counter] = {}
-    identity = tuple(range(n))
-    state = {"nodes": 0}
+    vertices = list(range(n))  # one set of int objects for every stored order
+    nodes = 0
 
-    def first_cell(coloring: tuple[int, ...]) -> list[int] | None:
-        counts = Counter(coloring)
-        target = min((c for c, k in counts.items() if k > 1), default=None)
-        if target is None:
-            return None
-        return [v for v in range(n) if coloring[v] == target]
+    def individualize(coloring: tuple[int, ...], v: int) -> tuple[int, ...]:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise _BudgetExhausted
+        child = list(coloring)
+        child[v] = max(coloring) + 1
+        return refine_colors(graph, tuple(child))
 
-    def is_automorphism(perm: tuple[int, ...]) -> bool:
+    def by_color(coloring: tuple[int, ...]) -> list[int]:
+        return sorted(vertices, key=coloring.__getitem__)
+
+    def is_automorphism(perm: list[int]) -> bool:
         if any(colors0[perm[v]] != colors0[v] for v in range(n)):
             return False
         for u, v in edges:
@@ -207,48 +227,71 @@ def find_automorphisms(
                 return False
         return True
 
-    def handle_leaf(coloring: tuple[int, ...]) -> None:
-        if not first_leaf:
-            first_leaf.append(coloring)
-            return
-        base = first_leaf[0]
-        slot = {c: v for v, c in enumerate(coloring)}
-        perm = tuple(slot[base[v]] for v in range(n))
-        if perm == identity or perm in seen:
-            return
-        if is_automorphism(perm):
-            seen.add(perm)
-            found.append(perm)
+    # first path colorings; automorphic images of a first-path node have
+    # its cell sizes
+    path = [refine_colors(graph)]
+    path_order: list[list[int]] = []  # the vertices of path[d + 1] by color
+    found: list[tuple[int, ...]] = []
+    orbit_of = list(range(n))  # union-find over the generators found
 
-    def dfs(coloring: tuple[int, ...], depth: int) -> None:
-        cell = first_cell(coloring)
-        if cell is None:
-            handle_leaf(coloring)
-            return
-        fresh = max(coloring) + 1
-        for v in cell:
-            state["nodes"] += 1
-            if state["nodes"] > budget:
-                raise _BudgetExhausted
-            child = list(coloring)
-            child[v] = fresh
-            refined = refine_colors(graph, tuple(child))
-            # prune branches whose cell structure diverges from the first
-            # path at this depth; automorphic images always keep the shape
-            shape = Counter(refined)
-            known = shapes.get(depth + 1)
-            if known is None:
-                shapes[depth + 1] = shape
-            elif shape != known:
+    def find(v: int) -> int:
+        while orbit_of[v] != v:
+            orbit_of[v] = orbit_of[orbit_of[v]]
+            v = orbit_of[v]
+        return v
+
+    def match(level: int, w: int) -> tuple[int, ...] | None:
+        """An automorphism that maps the first path into the subtree of
+        ``w`` at ``level``, by depth-first search with an explicit stack.
+        Individualized vertices keep the top colors in individualization
+        order, so every candidate fixes ``v_0..v_{level-1}`` and maps
+        ``v_level`` to ``w``."""
+        stack = [(level, iter((w,)), path[level])]
+        while stack:
+            depth, pending, coloring = stack[-1]
+            v = next(pending, None)
+            if v is None:
+                stack.pop()
                 continue
-            dfs(refined, depth + 1)
+            child = individualize(coloring, v)
+            if sorted(child) != sorted(path[depth + 1]):
+                continue
+            perm = [0] * n
+            for u, x in zip(path_order[depth], by_color(child)):
+                perm[u] = x
+            if is_automorphism(perm):
+                return tuple(perm)
+            cell = _target_cell(child)
+            if cell is not None:
+                stack.append((depth + 1, iter(cell), child))
+        return None
 
-    complete = True
+    group_order = 1
     try:
-        dfs(refine_colors(graph), 0)
+        while (cell := _target_cell(path[-1])) is not None:
+            path.append(individualize(path[-1], cell[0]))
+            path_order.append(by_color(path[-1]))
+        for level in reversed(range(len(path_order))):
+            base, *rest = cell = _target_cell(path[level])
+            refuted: list[int] = []
+            for w in rest:
+                root = find(w)
+                if root == find(base) or any(root == find(r) for r in refuted):
+                    continue
+                perm = match(level, w)
+                if perm is None:
+                    refuted.append(w)
+                    continue
+                found.append(perm)
+                for v in range(n):
+                    a, b = find(v), find(perm[v])
+                    if a != b:
+                        orbit_of[a] = b
+            root = find(base)
+            group_order *= sum(1 for v in cell if find(v) == root)
     except _BudgetExhausted:
-        complete = False
-    return AutomorphismResult(tuple(found), complete, state["nodes"])
+        return AutomorphismResult(tuple(found), False, nodes)
+    return AutomorphismResult(tuple(found), True, nodes, group_order)
 
 
 def to_signed_permutations(
@@ -258,9 +301,11 @@ def to_signed_permutations(
 
     A vertex permutation is kept only if it maps each variable's pair of
     literal vertices onto the literal pair of a single variable; the rest
-    are discarded with a :class:`DetectionWarning`.  Survivors are
-    deduplicated, the identity is dropped, and every output is checked to
-    be a syntactic symmetry of the instance.
+    are discarded with a :class:`DetectionWarning`.  Automorphisms of the
+    symmetry graph always keep the pairing; the check is for maps that
+    callers supply.  Survivors are deduplicated, the identity is dropped,
+    and every output is checked to be a syntactic symmetry of the
+    instance.
     """
     if graph is None:
         graph = build_symmetry_graph(instance)
@@ -319,11 +364,16 @@ def to_signed_permutations(
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """Generators found for an instance, with search accounting."""
+    """Generators found for an instance, with search accounting.
+
+    ``group_order`` is the order of the group the generators generate, or
+    ``None`` when the search is incomplete.
+    """
 
     generators: tuple[SignedPermutation, ...]
     complete: bool
     nodes_expanded: int
+    group_order: int | None = None
 
     def __iter__(self):
         return iter(self.generators)
@@ -333,21 +383,26 @@ class DetectionResult:
 
 
 def detect_symmetries(
-    instance: QbfInstance,
-    budget: int = DEFAULT_BUDGET,
-    collapse_binary: bool = False,
+    instance: QbfInstance, budget: int = DEFAULT_BUDGET
 ) -> DetectionResult:
     """Detect syntactic symmetries of an instance.
 
-    Builds the colored graph, searches for automorphisms within
-    ``budget`` node expansions, and converts the results to verified
-    signed-permutation generators.  ``complete=False`` signals that the
-    budget ran out and the generator list may be missing symmetries.
+    Builds the colored graph, searches for a generating set of its
+    automorphisms within ``budget`` node expansions, and converts it to
+    verified signed-permutation generators.  ``complete=False`` signals
+    that the budget ran out and the generators may not generate the whole
+    group.  The group order is the graph's, divided by the ``m!``
+    permutations of each set of ``m`` clauses with one literal set, which
+    move no variable.
     """
-    graph = build_symmetry_graph(instance, collapse_binary=collapse_binary)
+    graph = build_symmetry_graph(instance)
     search = find_automorphisms(graph, budget=budget)
     generators = to_signed_permutations(search.permutations, instance, graph=graph)
-    return DetectionResult(generators, search.complete, search.nodes_expanded)
+    order = search.order
+    if order is not None:
+        for m in Counter(frozenset(c) for c in instance.clauses).values():
+            order //= factorial(m)
+    return DetectionResult(generators, search.complete, search.nodes_expanded, order)
 
 
 def brute_force_symmetries(

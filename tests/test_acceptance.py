@@ -247,6 +247,7 @@ def test_criterion_09_detection_sound_and_complete():
         ours = group_closure(list(detected.generators) + [identity])
         theirs = group_closure(list(reference) + [identity])
         assert ours == theirs
+        assert detected.group_order == len(reference) + 1
     report(
         9,
         "detected generators are sound and complete at small scale",

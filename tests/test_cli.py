@@ -7,6 +7,7 @@ error, 3 cap exceeded, 10 verification failure.  Pipeline agreement
 
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ import pytest
 
 from qsymbreak import cli
 from qsymbreak.cli import main
+from qsymbreak.detect import DetectionResult
 from qsymbreak.formulas import And, Or, clauses_to_formula, cubes_to_formula
 from qsymbreak.groups import is_syntactic_symmetry, parse_generators
 from qsymbreak.qdimacs import parse_dnf, parse_qdimacs
@@ -93,6 +95,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run(capsys, "gen", "random", "-n", "4", "-m", "3")[0] == 1  # no seed
     assert run(capsys, "break", "--both", path)[0] == 1  # no --dnf-out
     assert run(capsys, "break", "--exists", "--compress-identity", path)[0] == 1
+    assert run(capsys, "detect", "--collapse-binary", path)[0] == 1
     code, _, err = run(capsys, "break", "--exists", "--generators", "-", "-")
     assert code == 1
     assert "stdin" in err
@@ -113,8 +116,9 @@ def test_detect_asymmetric_prints_nothing(tmp_path, capsys):
 def test_detect_output_round_trips(tmp_path, capsys):
     path = str(tmp_path / "k2.qdimacs")
     run(capsys, "gen", "kbkf", "2", "-o", path)
-    code, out, _ = run(capsys, "detect", path)
+    code, out, err = run(capsys, "detect", path)
     assert code == 0
+    assert err == "group order 4\n"
     instance = parse_qdimacs((tmp_path / "k2.qdimacs").read_text())
     gens = parse_generators(out, instance.prefix.variables)
     assert gens
@@ -129,6 +133,18 @@ def test_detect_budget_note(tmp_path, capsys):
     code, _, err = run(capsys, "detect", "--budget", "1", path)
     assert code == 0
     assert "incomplete" in err
+    assert "group order" not in err
+
+
+def test_detect_prints_a_huge_group_order(tmp_path, capsys, monkeypatch):
+    # 2^1500 * 1500!, the order of a 1500-variable free block, has more
+    # decimal digits than int-to-str converts by default
+    order = 2**1500 * math.factorial(1500)
+    result = DetectionResult((), True, 1, order)
+    monkeypatch.setattr(cli, "detect_symmetries", lambda instance, budget: result)
+    code, _, err = run(capsys, "detect", write(tmp_path, "unit.qdimacs", UNIT))
+    assert code == 0
+    assert err.startswith(f"group order about 10^{math.log10(order):.1f}\n")
 
 
 def planted_corpus(tmp_path, capsys):

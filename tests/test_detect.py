@@ -1,10 +1,18 @@
 """Symmetry detection: graph encoding, refinement, search, conversion."""
 
+import os
 import random
+import subprocess
+import sys
+import warnings
 from itertools import permutations
+from math import factorial
+from pathlib import Path
 
 import pytest
 
+import qsymbreak
+from qsymbreak.benchmarks import gen_kbkf
 from qsymbreak.detect import (
     AutomorphismResult,
     DetectionWarning,
@@ -73,19 +81,6 @@ def test_graph_counts_on_random_instances():
         n, m = inst.prefix.n, len(inst.clauses)
         assert graph.n_vertices == 2 * n + m
         assert len(graph.edges) == n + sum(len(c) for c in inst.clauses)
-
-
-def test_binary_collapse_drops_clause_vertices():
-    graph = build_symmetry_graph(PAIR, collapse_binary=True)
-    assert graph.n_vertices == 4
-    assert graph.edges == ((0, 1), (0, 2), (2, 3))
-    mixed = QbfInstance(
-        prefix=Prefix.from_pairs([(EXISTS, [1, 2, 3])]),
-        clauses=((1, 2), (1, 2, 3)),
-    )
-    graph = build_symmetry_graph(mixed, collapse_binary=True)
-    assert graph.n_vertices == 7
-    assert len(graph.edges) == 3 + 1 + 3
 
 
 def test_refinement_is_idempotent():
@@ -195,6 +190,7 @@ def test_detector_complete_on_small_instances():
             closure = {SignedPermutation.identity(inst.prefix.variables)}
         identity = SignedPermutation.identity(inst.prefix.variables)
         assert closure == set(reference) | {identity}
+        assert result.group_order == len(reference) + 1
     assert checked >= 30
 
 
@@ -212,8 +208,10 @@ def test_budget_exhaustion_flags_partial_result():
     result = find_automorphisms(build_symmetry_graph(PAIR), budget=1)
     assert not result.complete
     assert result.nodes_expanded >= 1
+    assert result.order is None
     partial = detect_symmetries(PAIR, budget=1)
     assert not partial.complete
+    assert partial.group_order is None
 
 
 def test_empty_instance_detects_nothing():
@@ -236,6 +234,7 @@ def test_full_group_found_on_equality_gadget():
     assert set(group_closure(detected.generators)) - {
         SignedPermutation.identity((1, 2, 3))
     } == reference
+    assert detected.group_order == len(reference) + 1
 
 
 def test_brute_force_cap():
@@ -254,3 +253,91 @@ def test_result_containers_iterate():
     detection = detect_symmetries(PAIR)
     assert len(detection) == 1
     assert list(detection) == [SignedPermutation.from_dict({1: 2, 2: 1})]
+
+
+def free_block(k):
+    return QbfInstance(
+        prefix=Prefix.from_pairs([(EXISTS, list(range(1, k + 1)))]), clauses=()
+    )
+
+
+def pigeonhole(pigeons, holes):
+    """All-existential pigeonhole CNF; its group is S_pigeons x S_holes."""
+    var = lambda p, h: p * holes + h + 1  # noqa: E731
+    clauses = [tuple(var(p, h) for h in range(holes)) for p in range(pigeons)]
+    for h in range(holes):
+        for p in range(pigeons):
+            for q in range(p + 1, pigeons):
+                clauses.append((-var(p, h), -var(q, h)))
+    n = pigeons * holes
+    return QbfInstance(
+        prefix=Prefix.from_pairs([(EXISTS, list(range(1, n + 1)))]),
+        clauses=tuple(clauses),
+    )
+
+
+@pytest.mark.parametrize("t", [8, 16, 32])
+def test_kbkf_generating_set_is_small(t):
+    result = detect_symmetries(gen_kbkf(t))
+    assert result.complete
+    assert 1 <= len(result.generators) <= t
+    assert result.group_order == 2**t
+
+
+def test_pigeonhole_generating_set_is_small():
+    result = detect_symmetries(pigeonhole(5, 4))
+    assert result.complete
+    assert len(result.generators) <= 7
+    assert result.group_order == factorial(5) * factorial(4)
+    assert len(group_closure(result.generators)) == result.group_order
+
+
+def test_free_block_search_completes():
+    result = detect_symmetries(free_block(6))
+    assert result.complete
+    assert len(result.generators) <= 11
+    assert result.group_order == 2**6 * factorial(6)
+
+
+def test_twin_clauses_do_not_count_toward_the_order():
+    # swapping the two copies of (x or y) moves no variable
+    twins = QbfInstance(prefix=PAIR.prefix, clauses=((1, 2), (1, 2)))
+    result = detect_symmetries(twins)
+    assert result.group_order == 2
+    assert result.generators == (SignedPermutation.from_dict({1: 2, 2: 1}),)
+    assert find_automorphisms(build_symmetry_graph(twins)).order == 4
+
+
+def test_unsorted_clauses_keep_their_symmetries():
+    unsorted = QbfInstance(prefix=PAIR.prefix, clauses=((2, 1),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DetectionWarning)
+        result = detect_symmetries(unsorted)
+    assert result.generators == (SignedPermutation.from_dict({1: 2, 2: 1}),)
+    assert result.group_order == 2
+
+
+def test_long_first_path_needs_no_recursion():
+    script = (
+        "import sys\n"
+        "from qsymbreak.detect import detect_symmetries\n"
+        "from qsymbreak.qdimacs import EXISTS, Prefix, QbfInstance\n"
+        "block = Prefix.from_pairs([(EXISTS, list(range(1, 201)))])\n"
+        "instance = QbfInstance(prefix=block, clauses=())\n"
+        "sys.setrecursionlimit(60)\n"
+        "for budget in (150, 1000):\n"
+        "    result = detect_symmetries(instance, budget=budget)\n"
+        "    print(result.complete, len(result.generators))\n"
+    )
+    env = dict(os.environ)
+    package_root = str(Path(qsymbreak.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the first path alone is 200 nodes deep; the whole search takes 599
+    assert proc.stdout.split() == ["False", "0", "True", "399"]
