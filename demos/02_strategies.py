@@ -29,8 +29,8 @@ def main():
 
     print("\nvalue of each existential strategy (conjunction over its paths):")
     for s in enumerate_strategies(prefix, EXISTENTIAL):
-        moves = {v: dict(table) for v, table in s.moves}
-        print(f"  x2 choices {moves[2]} -> {strategy_value(instance, s)}")
+        choices = {history: s.label(2, history) for history in ((False,), (True,))}
+        print(f"  x2 choices {choices} -> {strategy_value(instance, s)}")
 
     print(f"\ntruth value: {qbf_truth(instance)}")
     print("the copying strategy wins, so the instance is true")

@@ -38,8 +38,8 @@ def main():
         print(f"  {format_generator(g)}")
 
     sigma = {1: False, 2: False, 3: True}
-    orbit = orbit_of_assignment(closure, sigma)
-    print(f"\norbit of the assignment {sigma}:")
+    orbit = orbit_of_assignment([swap, negate_both], sigma)
+    print(f"\norbit of the assignment {sigma}, walked from the generators:")
     for image in orbit:
         print(f"  {image}")
 

@@ -56,12 +56,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
 
 
@@ -262,6 +262,12 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _add_instance_arg(parser):
     parser.add_argument("instance", help="QDIMACS file, or - for stdin")
 
@@ -290,7 +296,7 @@ def _add_group_args(parser):
     )
     parser.add_argument(
         "--product-length",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="L",
         help="break with all generator products up to this length",

@@ -29,7 +29,3 @@ class QdimacsParseError(ValidationError):
         super().__init__(f"{loc}: {message}")
         self.line = line
         self.column = column
-
-
-class VerificationError(QsymbreakError):
-    """An oracle check that should have passed did not."""

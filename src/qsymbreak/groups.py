@@ -264,16 +264,30 @@ def orbit_of_assignment(
     sigma: Mapping[int, bool],
     cap: int = CLOSURE_CAP,
 ) -> list[dict[int, bool]]:
-    """All images of sigma under the generated group, deterministic order."""
+    """All images of sigma under the generated group, sorted by items.
+
+    The orbit is walked breadth first, one generator step at a time, so the
+    group is never enumerated and ``cap`` bounds the orbit, not the group.
+    """
     generators = list(generators)
     if not generators:
         return [dict(sigma)]
-    group = group_closure(generators, cap=cap)
-    keys = {}
-    for g in group:
-        image = g.apply_to_assignment(sigma)
-        keys[tuple(sorted(image.items()))] = image
-    return [keys[k] for k in sorted(keys)]
+    domain = generators[0].domain
+    if any(g.domain != domain for g in generators):
+        raise ValidationError("generators must share one domain")
+    start = {v: sigma[v] for v in domain}  # keys sorted, like every image's
+    found = {tuple(start.items()): start}
+    queue = [start]
+    for tau in queue:  # the loop reaches what it appends: breadth first
+        for g in generators:
+            image = g.apply_to_assignment(tau)
+            key = tuple(image.items())
+            if key not in found:
+                if len(found) >= cap:
+                    raise CapExceededError(f"orbit of assignment exceeds cap {cap}")
+                found[key] = image
+                queue.append(image)
+    return [found[k] for k in sorted(found)]
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

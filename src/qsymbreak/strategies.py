@@ -2,12 +2,15 @@
 
 A strategy for one player is a tree over the prefix: at levels owned by the
 player the tree has a single labeled edge, at opponent levels it branches
-both ways. Rather than pointer trees, a strategy is stored as an edge-label
-map per owned variable, indexed by the opponent-assignment history up to
-that variable. The two views are equivalent and this one makes equality,
-hashing and enumeration cheap. ``_slots`` gives the layout every strategy
-of a player shares: its owned variables in prefix order, each with the
-number of opponent variables quantified before it.
+both ways. Rather than pointer trees, a strategy is one flat vector of edge
+labels, one per (owned variable, opponent history) pair. ``_slots`` gives
+the layout every strategy of a player shares: its owned variables in prefix
+order, each with the number of opponent variables quantified before it. The
+vector lists the slots in that order, each slot's histories in
+``_histories`` order, so a history read as a binary number (first move
+most significant) indexes its slot. The strategies of a player are then
+exactly the label vectors, which makes equality, hashing and enumeration
+cheap.
 
 The truth oracle is one memoized recursion over the prefix: it splits the
 next variable and short-circuits on its quantifier. A clause matrix is
@@ -15,7 +18,8 @@ restricted clause by clause and a formula matrix by substitution; both
 restrictions report a matrix whose value is settled as a bool.
 
 The module also computes semantic orbits: the partition of one player's
-strategies induced by a syntactic symmetry group acting path-wise.
+strategies induced by a syntactic symmetry group acting path-wise, with
+each play's orbit walked from the generators rather than the whole group.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Iterable, Iterator, Mapping
 from .errors import CapExceededError, ValidationError
 from .formulas import Const, Formula, evaluate, substitute
 from .qdimacs import EXISTS, FORALL, Prefix, QbfInstance
-from .groups import CLOSURE_CAP, SignedPermutation, group_closure
+from .groups import SignedPermutation, orbit_of_assignment
 
 EXISTENTIAL = EXISTS
 UNIVERSAL = FORALL
@@ -61,11 +65,11 @@ def _histories(length: int) -> Iterator[History]:
 
 @dataclass(frozen=True)
 class Strategy:
-    """Edge-label map for one player; role is the quantifier the player owns."""
+    """Edge-label vector for one player; role is the quantifier the player owns."""
 
     prefix: Prefix
     role: str
-    moves: tuple[tuple[int, tuple[tuple[History, bool], ...]], ...]
+    labels: tuple[bool, ...]
 
     @classmethod
     def from_tables(
@@ -77,47 +81,57 @@ class Strategy:
         slots = _slots(prefix, role)
         if set(tables) != {v for v, _ in slots}:
             raise ValidationError("strategy must define exactly the owned variables")
-        moves = []
         for v, before in slots:
-            table = tables[v]
-            if set(table) != set(_histories(before)):
+            if set(tables[v]) != set(_histories(before)):
                 raise ValidationError(
                     f"variable {v} needs one label per opponent history of length {before}"
                 )
-            moves.append((v, tuple(sorted(table.items()))))
-        return cls(prefix=prefix, role=role, moves=tuple(moves))
+        labels = (tables[v][h] for v, before in slots for h in _histories(before))
+        return cls(prefix=prefix, role=role, labels=tuple(labels))
 
     @cached_property
-    def _tables(self) -> dict[int, dict[History, bool]]:
-        return {v: dict(entries) for v, entries in self.moves}
+    def _offsets(self) -> dict[int, tuple[int, int]]:
+        """Owned variable -> (index of its first label, history length)."""
+        offsets, start = {}, 0
+        for v, before in _slots(self.prefix, self.role):
+            offsets[v] = (start, before)
+            start += 2**before
+        return offsets
 
     def label(self, var: int, history: History) -> bool:
-        return self._tables[var][history]
+        start, before = self._offsets.get(var, (0, -1))
+        if len(history) != before:
+            raise ValidationError(f"no label for variable {var} after history {history}")
+        return self.labels[start + sum(bit << k for k, bit in enumerate(reversed(history)))]
 
     @cached_property
     def paths(self) -> tuple[dict[int, bool], ...]:
         """All total assignments read off root-to-leaf paths, opponent order."""
-        tables = self._tables
+        offsets, labels = self._offsets, self.labels
         order = self.prefix.variables
-        opponents = sum(1 for v in order if v not in tables)
         out = []
-        for values in _histories(opponents):
+        for values in _histories(len(order) - len(offsets)):
             sigma: dict[int, bool] = {}
-            seen = 0  # opponent moves so far; values[:seen] is the history
+            seen = index = 0  # opponent moves so far, and their history as a number
             for v in order:
-                table = tables.get(v)
-                if table is None:
+                slot = offsets.get(v)
+                if slot is None:
                     sigma[v] = values[seen]
+                    index = 2 * index + values[seen]
                     seen += 1
                 else:
-                    sigma[v] = table[values[:seen]]
+                    sigma[v] = labels[slot[0] + index]
             out.append(sigma)
         return tuple(out)
 
 
+def _label_count(prefix: Prefix, role: str) -> int:
+    """Length of the label vector: sum over owned variables of 2 ** opponents-before-it."""
+    return sum(2**before for _, before in _slots(prefix, role))
+
+
 def count_strategies(prefix: Prefix, role: str) -> int:
-    """2 ** (sum over owned variables of 2 ** opponents-before-it)."""
-    return 2 ** sum(2**before for _, before in _slots(prefix, role))
+    return 2 ** _label_count(prefix, role)
 
 
 def check_enumeration_cap(prefix: Prefix, role: str, cap: int) -> None:
@@ -145,22 +159,14 @@ def enumerate_strategies(
 ) -> Iterator[Strategy]:
     """All strategies exactly once, lexicographic in (level, history, label)."""
     check_enumeration_cap(prefix, role, cap)
-    slots = _slots(prefix, role)
-    cells = [(v, history) for v, before in slots for history in _histories(before)]
-    for labels in _histories(len(cells)):
-        tables: dict[int, dict[History, bool]] = {v: {} for v, _ in slots}
-        for (v, history), value in zip(cells, labels):
-            tables[v][history] = value
-        yield Strategy.from_tables(prefix, role, tables)
+    for labels in _histories(_label_count(prefix, role)):
+        yield Strategy(prefix, role, labels)
 
 
 def random_strategy(prefix: Prefix, role: str, rng: random.Random) -> Strategy:
     """Uniformly random strategy; usable when enumeration would be too large."""
-    tables = {
-        v: {history: rng.random() < 0.5 for history in _histories(before)}
-        for v, before in _slots(prefix, role)
-    }
-    return Strategy.from_tables(prefix, role, tables)
+    labels = tuple(rng.random() < 0.5 for _ in range(_label_count(prefix, role)))
+    return Strategy(prefix, role, labels)
 
 
 def _split_target(
@@ -269,7 +275,6 @@ def semantic_orbits(
     generators: Iterable[SignedPermutation],
     cap: int = ENUMERATION_CAP,
     role: str = EXISTENTIAL,
-    closure_cap: int = CLOSURE_CAP,
 ) -> list[list[Strategy]]:
     """Partition of one player's strategies under the path-wise group action.
 
@@ -277,12 +282,11 @@ def semantic_orbits(
     some group element of a path of s and symmetrically. A path's group
     orbit is summarized by a canonical representative, so the relation is
     equality of touched-orbit fingerprints, which is transitive already; no
-    extra closure step is needed.
+    extra closure step is needed. Each play's orbit is walked from the
+    generators once, the first time one of its members shows up.
     """
     generators = list(generators)
-    group = group_closure(generators, cap=closure_cap) if generators else []
     order = prefix.variables
-
     orbit_rep: dict[tuple[bool, ...], tuple[bool, ...]] = {}
 
     def rep_of(sigma: Mapping[int, bool]) -> tuple[bool, ...]:
@@ -290,24 +294,15 @@ def semantic_orbits(
         cached = orbit_rep.get(key)
         if cached is not None:
             return cached
-        if not group:
-            orbit_rep[key] = key
-            return key
-        images = []
-        for g in group:
-            image = g.apply_to_assignment(sigma)
-            images.append(tuple(image[v] for v in order))
+        orbit = orbit_of_assignment(generators, sigma)
+        images = [tuple(image[v] for v in order) for image in orbit]
         best = min(images)
         for img in images:
             orbit_rep[img] = best
         return best
 
     buckets: dict[frozenset[tuple[bool, ...]], list[Strategy]] = {}
-    bucket_order: list[frozenset[tuple[bool, ...]]] = []
     for s in enumerate_strategies(prefix, role, cap=cap):
         fingerprint = frozenset(rep_of(sigma) for sigma in s.paths)
-        if fingerprint not in buckets:
-            buckets[fingerprint] = []
-            bucket_order.append(fingerprint)
-        buckets[fingerprint].append(s)
-    return [buckets[fp] for fp in bucket_order]
+        buckets.setdefault(fingerprint, []).append(s)
+    return list(buckets.values())

@@ -5,13 +5,20 @@ error, 3 cap exceeded, 10 verification failure.  Pipeline agreement
 (break then solve versus plain solve) uses the brute-force oracle.
 """
 
+import contextlib
 import io
+import itertools
 import json
 import math
+import re
 import subprocess
 import sys
+import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsymbreak import cli
 from qsymbreak.cli import main
@@ -86,6 +93,26 @@ def test_missing_file_is_input_error(capsys):
     assert "input error" in err
 
 
+def test_undecodable_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "utf16.qdimacs"
+    path.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, "parse", str(path))
+    assert code == 2
+    assert "input error" in err
+    good = write(tmp_path, "iff.qdimacs", IFF_AE)
+    code, _, err = run(capsys, "break", "--exists", "--generators", str(path), good)
+    assert code == 2
+    assert "input error" in err
+
+
+def test_undecodable_stdin_is_input_error(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, _, err = run(capsys, "parse", "-")
+    assert code == 2
+    assert "input error" in err
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     path = write(tmp_path, "iff.qdimacs", IFF_AE)
     assert run(capsys, )[0] == 1
@@ -96,6 +123,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run(capsys, "break", "--both", path)[0] == 1  # no --dnf-out
     assert run(capsys, "break", "--exists", "--compress-identity", path)[0] == 1
     assert run(capsys, "detect", "--collapse-binary", path)[0] == 1
+    assert run(capsys, "break", "--exists", "--product-length", "0", path)[0] == 1
+    assert run(capsys, "verify", "--product-length", "-2", path)[0] == 1
     code, _, err = run(capsys, "break", "--exists", "--generators", "-", "-")
     assert code == 1
     assert "stdin" in err
@@ -269,6 +298,15 @@ def test_verify_passes_with_json_report(tmp_path, capsys):
     assert [c["orbits"] for c in coverage] == [4, 2]
 
 
+def test_verify_clause_free_block(tmp_path, capsys):
+    # 64 existential strategies, but a group of order 2**6 * 6! = 46,080:
+    # the orbit walk never builds the group
+    path = write(tmp_path, "free6.qdimacs", "p cnf 6 0\ne 1 2 3 4 5 6 0\n")
+    code, out, _ = run(capsys, "verify", path)
+    assert code == 0
+    assert out.count("PASS") == 7
+
+
 def test_verify_detects_bogus_generator(tmp_path, capsys):
     # flipping the only variable is admissible but not a symmetry of (x)
     path = write(tmp_path, "unit.qdimacs", UNIT)
@@ -355,3 +393,58 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("p cnf 4 5\n")
+
+
+# tokens that mutate a desk-size QDIMACS text: numbers stay small, so every
+# mutant stays cheap to detect, solve and verify
+MUTATION_TOKENS = [
+    b"0", b"1", b"-1", b"3", b"-4", b"6", b"7", b"p", b"cnf", b"dnf", b"a", b"e",
+    b"c", b"x", b"\n", b" ", b"", b"\xff", b"\xc3\xa9", b"\xfe\xff",
+]
+
+
+@st.composite
+def desk_qdimacs(draw):
+    n = draw(st.integers(1, 6))
+    quantifiers = draw(st.lists(st.sampled_from("ae"), min_size=n, max_size=n))
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=3), max_size=6))
+    lines = [f"p cnf {n} {len(clauses)}"]
+    for q, group in itertools.groupby(enumerate(quantifiers, 1), key=lambda p: p[1]):
+        lines.append(f"{q} {' '.join(str(v) for v, _ in group)} 0")
+    lines += [" ".join(map(str, clause)) + " 0" for clause in clauses]
+    tokens = re.split(rb"( |\n)", ("\n".join(lines) + "\n").encode())
+    edits = draw(st.lists(
+        st.tuples(st.integers(0, 10**6), st.sampled_from("rid"), st.sampled_from(MUTATION_TOKENS)),
+        max_size=4,
+    ))
+    for position, op, token in edits:
+        k = position % (len(tokens) + 1)
+        if op == "i":
+            tokens.insert(k, token)
+        elif tokens:
+            k = min(k, len(tokens) - 1)
+            if op == "r":
+                tokens[k] = token
+            else:
+                del tokens[k]
+    return b"".join(tokens)
+
+
+COMMANDS = (["parse"], ["detect", "--budget", "200"], ["solve"], ["verify", "--cap", "64"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.binary(max_size=24), desk_qdimacs()))
+def test_exit_codes_stay_in_the_contract(data):
+    for command in COMMANDS:
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        with (
+            mock.patch.object(sys, "stdin", stdin),
+            warnings.catch_warnings(),
+            contextlib.redirect_stdout(io.StringIO()),
+            contextlib.redirect_stderr(io.StringIO()),
+        ):
+            warnings.simplefilter("ignore")
+            code = main([*command, "-"])
+        assert code in {0, 1, 2, 3, 10}, (command, data)

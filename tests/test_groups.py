@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qsymbreak.detect import detect_symmetries
 from qsymbreak.errors import CapExceededError, ValidationError
 from qsymbreak.formulas import Not, Var, Xor, equivalent
 from qsymbreak.groups import (
@@ -185,6 +186,42 @@ def test_orbit_sizes_divide_group_order():
         sigma = oracles.random_assignment(rng, list(prefix.variables))
         orbit = orbit_of_assignment(gens, sigma, cap=5000)
         assert len(group) % len(orbit) == 0
+
+
+def test_orbit_walk_matches_the_closure_images():
+    rng = random.Random(29)
+    for _ in range(60):
+        prefix = oracles.random_prefix(rng, rng.randint(1, 5))
+        gens = [oracles.random_signed_perm(rng, prefix) for _ in range(rng.randint(1, 3))]
+        sigma = oracles.random_assignment(rng, list(prefix.variables))
+        images = {
+            tuple(sorted(g.apply_to_assignment(sigma).items()))
+            for g in group_closure(gens, cap=5000)
+        }
+        orbit = orbit_of_assignment(gens, sigma)
+        assert [tuple(sorted(image.items())) for image in orbit] == sorted(images)
+
+
+def test_orbit_walk_needs_no_group_closure():
+    # the clause-free 8-variable block: 15 generators of a group of order
+    # 2**8 * 8! = 10,321,920, far past the closure cap, but the orbit of
+    # all-false is just the 256 assignments
+    prefix = Prefix.from_pairs([(EXISTS, list(range(1, 9)))])
+    result = detect_symmetries(QbfInstance(prefix=prefix, clauses=()))
+    assert len(result.generators) == 15
+    assert result.group_order == 10_321_920
+    orbit = orbit_of_assignment(result.generators, dict.fromkeys(range(1, 9), False))
+    assert len(orbit) == 256
+    assert orbit[0] == dict.fromkeys(range(1, 9), False)
+    with pytest.raises(CapExceededError, match="orbit"):
+        orbit_of_assignment(result.generators, orbit[0], cap=255)
+
+
+def test_orbit_rejects_generators_over_different_domains():
+    with pytest.raises(ValidationError):
+        orbit_of_assignment(
+            [SWAP_YZ, SignedPermutation.identity([1, 2])], {1: True, 2: True, 3: True}
+        )
 
 
 def test_truth_preserved_under_admissible_permutation():

@@ -1,5 +1,6 @@
 """Strategy trees, enumeration, truth oracle, common paths, semantic orbits."""
 
+import itertools
 import random
 
 import pytest
@@ -48,6 +49,34 @@ def test_enumerate_the_four_existential_trees():
     labels = [(s.label(2, (False,)), s.label(2, (True,))) for s in got]
     assert labels == [(False, False), (False, True), (True, False), (True, True)]
     assert len(set(got)) == 4
+
+
+def test_label_reads_the_tables_it_was_built_from():
+    rng = random.Random(3)
+    for _ in range(100):
+        prefix = oracles.random_prefix(rng, rng.randint(1, 5))
+        for role in (EXISTENTIAL, UNIVERSAL):
+            s = random_strategy(prefix, role, rng)
+            tables, before = {}, 0
+            for v in prefix.variables:
+                if prefix.quantifier_of(v) == role:
+                    histories = itertools.product((False, True), repeat=before)
+                    tables[v] = {h: s.label(v, h) for h in histories}
+                else:
+                    before += 1
+            assert Strategy.from_tables(prefix, role, tables) == s
+
+
+def test_label_rejects_unowned_variables_and_bad_histories():
+    s = next(enumerate_strategies(PREFIX_AE, EXISTENTIAL))
+    with pytest.raises(ValidationError):
+        s.label(1, ())
+    with pytest.raises(ValidationError):
+        s.label(2, ())
+    with pytest.raises(ValidationError):
+        s.label(2, (False, True))
+    with pytest.raises(ValidationError):
+        Strategy.from_tables(PREFIX_AE, EXISTENTIAL, {2: {(False,): True}})
 
 
 def test_enumerate_single_variable_trees():
@@ -123,24 +152,13 @@ def test_random_strategy_is_pinned_for_a_seed():
         [(EXISTS, [1]), (FORALL, [2]), (EXISTS, [3]), (FORALL, [4]), (EXISTS, [5])]
     )
     rng = random.Random(7)
-    assert random_strategy(prefix, EXISTENTIAL, rng).moves == (
-        (1, (((), True),)),
-        (3, (((False,), True), ((True,), False))),
-        (5, (
-            ((False, False), True),
-            ((False, True), False),
-            ((True, False), True),
-            ((True, True), True),
-        )),
+    # labels run over the owned variables in prefix order, histories in
+    # lexicographic order: x1 at (); x3 at F, T; x5 at FF, FT, TF, TT
+    assert random_strategy(prefix, EXISTENTIAL, rng).labels == (
+        True, True, False, True, False, True, True,
     )
-    assert random_strategy(prefix, UNIVERSAL, rng).moves == (
-        (2, (((False,), False), ((True,), True))),
-        (4, (
-            ((False, False), True),
-            ((False, True), True),
-            ((True, False), True),
-            ((True, True), True),
-        )),
+    assert random_strategy(prefix, UNIVERSAL, rng).labels == (
+        False, True, True, True, True, True,
     )
 
 
