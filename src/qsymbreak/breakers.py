@@ -445,9 +445,9 @@ def verify_breaker(
     For an existential breaker, every semantic orbit of existential
     strategies under the generated group must contain a strategy on
     whose plays ``psi`` always holds; the universal dual asks for a
-    universal strategy with some play falsifying it.  ``psi`` may be a
-    :class:`BreakerFormula` (the polarity is taken from it) or a plain
-    formula, which is checked as an existential breaker.
+    universal strategy on whose plays ``psi`` never holds.  ``psi`` may
+    be a :class:`BreakerFormula` (the polarity is taken from it) or a
+    plain formula, which is checked as an existential breaker.
     """
     if isinstance(psi, BreakerFormula):
         formula, pol = psi.formula, psi.polarity

@@ -1,22 +1,23 @@
 """Syntactic symmetry detection via colored-graph automorphism search.
 
 A QBF instance is turned into a vertex-colored undirected graph whose
-color- and adjacency-preserving vertex permutations correspond to
-block-respecting signed permutations of the variables: two literal
-vertices per variable joined by a negation edge, one vertex per clause
-joined to the vertices of its literals, literal colors given by the
-quantifier-block index and a single separate color for clauses.
+color- and adjacency-preserving vertex permutations are exactly the
+block-respecting signed permutations of the variables that keep the
+clause multiset.  The variable at prefix position ``i`` owns vertices
+``2i`` (positive literal) and ``2i + 1`` (negative literal), joined by a
+negation edge and colored by the quantifier-block index.  Each distinct
+clause (as a literal set) follows as one vertex joined to its literals,
+colored by how often the matrix lists it.  Literal vertices are joined
+only by negation edges, so every automorphism keeps each variable's
+literal pair together, and distinct clauses have distinct literal sets,
+so the variables' images fix the clause vertices' images.
 
 The search returns a generating set of the automorphism group, not the
 group itself: one first path of individualization and refinement, then,
 level by level from the bottom, one automorphism per orbit of the cell
 that the automorphisms found so far do not already join (the first-path
 search of nauty and saucy).  Every generator is checked as a graph
-automorphism and, after conversion, as a syntactic symmetry.  Literal
-vertices are joined only by negation edges, so every automorphism keeps
-each variable's literal pair together; the group of signed permutations
-is the automorphism group divided by the permutations of clause vertices
-that share one literal set.
+automorphism and, after conversion, as a syntactic symmetry.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import permutations, product
 from math import factorial
 
@@ -44,77 +44,55 @@ class DetectionWarning(UserWarning):
 class ColoredGraph:
     """Simple undirected graph with integer vertex colors.
 
-    Edges are sorted pairs ``(u, v)`` with ``u < v``, listed once.  Each
-    vertex carries a provenance tag, either ``("literal", var, sign)`` or
-    ``("clause", index)``.
+    ``adjacency[v]`` lists the neighbors of ``v`` in increasing order.
     """
 
     n_vertices: int
-    edges: tuple[tuple[int, int], ...]
+    adjacency: tuple[tuple[int, ...], ...]
     colors: tuple[int, ...]
-    tags: tuple[tuple, ...]
 
-    def __post_init__(self):
-        if len(self.colors) != self.n_vertices or len(self.tags) != self.n_vertices:
-            raise ValidationError("colors and tags must cover every vertex")
-        seen = set()
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n_vertices):
-                raise ValidationError(f"bad edge ({u}, {v})")
-            if (u, v) in seen:
-                raise ValidationError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(row) for row in adj)
-
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge once, as sorted pairs ``(u, v)`` with ``u < v``."""
+        return tuple(
+            (u, v) for u, row in enumerate(self.adjacency) for v in row if u < v
+        )
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edge_set if u < v else (v, u) in self.edge_set
+        return v in self.adjacency[u]
 
 
 def build_symmetry_graph(instance: QbfInstance) -> ColoredGraph:
     """Encode an instance as a colored graph for automorphism search.
 
-    Variable ``v`` at position ``i`` of the prefix owns vertices ``2i``
-    (positive literal) and ``2i + 1`` (negative literal); every clause
-    gets one vertex after those.
+    The variable at prefix position ``i`` owns vertices ``2i`` (positive
+    literal) and ``2i + 1`` (negative literal), colored by its block
+    index.  Every distinct clause, compared as a literal set, then gets
+    one vertex, in order of first appearance, colored ``b + m - 1`` for
+    ``b`` blocks when the matrix lists it ``m`` times.
     """
     prefix = instance.prefix
-    order = prefix.variables
-    index = {v: i for i, v in enumerate(order)}
-    clause_color = len(prefix.blocks)
-
-    def lit_vertex(lit: int) -> int:
-        return 2 * index[abs(lit)] + (1 if lit < 0 else 0)
-
+    vertex: dict[int, int] = {}
     colors: list[int] = []
-    tags: list[tuple] = []
-    for v in order:
+    adjacency: list[list[int]] = []
+    for i, v in enumerate(prefix.variables):
+        vertex[v], vertex[-v] = 2 * i, 2 * i + 1
         b = prefix.block_index_of(v)
         colors += [b, b]
-        tags += [("literal", v, 1), ("literal", v, -1)]
+        adjacency += [[2 * i + 1], [2 * i]]
 
-    edges = {(2 * i, 2 * i + 1) for i in range(len(order))}
-    next_vertex = 2 * len(order)
-    for idx, clause in enumerate(instance.clauses):
-        cv = next_vertex
-        next_vertex += 1
-        colors.append(clause_color)
-        tags.append(("clause", idx))
-        for lit in set(clause):
-            lv = lit_vertex(lit)
-            edges.add((min(cv, lv), max(cv, lv)))
+    clause_color = len(prefix.blocks)
+    multiplicity = Counter(frozenset(c) for c in instance.clauses)
+    for cv, (lits, m) in enumerate(multiplicity.items(), start=len(colors)):
+        colors.append(clause_color + m - 1)
+        row = sorted(vertex[lit] for lit in lits)
+        adjacency.append(row)
+        for lv in row:
+            adjacency[lv].append(cv)
 
-    return ColoredGraph(next_vertex, tuple(sorted(edges)), tuple(colors), tuple(tags))
+    return ColoredGraph(
+        len(colors), tuple(tuple(row) for row in adjacency), tuple(colors)
+    )
 
 
 def refine_colors(
@@ -200,9 +178,8 @@ def find_automorphisms(
     found so far are returned with ``complete=False``.
     """
     n = graph.n_vertices
-    edges = graph.edges
+    adj = graph.adjacency
     colors0 = graph.colors
-    edge_set = graph.edge_set
     vertices = list(range(n))  # one set of int objects for every stored order
     nodes = 0
 
@@ -219,13 +196,11 @@ def find_automorphisms(
         return sorted(vertices, key=coloring.__getitem__)
 
     def is_automorphism(perm: list[int]) -> bool:
-        if any(colors0[perm[v]] != colors0[v] for v in range(n)):
-            return False
-        for u, v in edges:
-            a, b = perm[u], perm[v]
-            if ((a, b) if a < b else (b, a)) not in edge_set:
-                return False
-        return True
+        return all(
+            colors0[perm[v]] == colors0[v]
+            and tuple(sorted(perm[u] for u in adj[v])) == adj[perm[v]]
+            for v in range(n)
+        )
 
     # first path colorings; automorphic images of a first-path node have
     # its cell sizes
@@ -294,55 +269,38 @@ def find_automorphisms(
     return AutomorphismResult(tuple(found), True, nodes, group_order)
 
 
-def to_signed_permutations(
-    perms, instance: QbfInstance, graph: ColoredGraph | None = None
-) -> tuple[SignedPermutation, ...]:
-    """Convert vertex permutations into signed variable permutations.
+def to_signed_permutations(perms, instance: QbfInstance) -> tuple[SignedPermutation, ...]:
+    """Convert vertex permutations of the symmetry graph into signed
+    variable permutations, reading literals from the vertex layout of
+    :func:`build_symmetry_graph`.
 
-    A vertex permutation is kept only if it maps each variable's pair of
-    literal vertices onto the literal pair of a single variable; the rest
-    are discarded with a :class:`DetectionWarning`.  Automorphisms of the
-    symmetry graph always keep the pairing; the check is for maps that
-    callers supply.  Survivors are deduplicated, the identity is dropped,
-    and every output is checked to be a syntactic symmetry of the
-    instance.
+    A vertex permutation is kept only if it maps the literal vertices
+    onto themselves and each variable's pair of literal vertices onto the
+    literal pair of a single variable; the rest are discarded with a
+    :class:`DetectionWarning`.  Automorphisms of the symmetry graph always
+    keep the pairing; the check is for maps that callers supply.
+    Survivors are deduplicated, the identity is dropped, and every output
+    is checked to be a syntactic symmetry of the instance.
     """
-    if graph is None:
-        graph = build_symmetry_graph(instance)
-    lit_vertex: dict[tuple[int, int], int] = {}
-    lit_of: dict[int, tuple[int, int]] = {}
-    for vertex, tag in enumerate(graph.tags):
-        if tag[0] == "literal":
-            _, var, sign = tag
-            lit_vertex[(var, sign)] = vertex
-            lit_of[vertex] = (var, sign)
-
+    variables = instance.prefix.variables
+    n_lits = 2 * len(variables)
     out: list[SignedPermutation] = []
     seen: set[SignedPermutation] = set()
     for perm in perms:
-        mapping: dict[int, int] = {}
-        consistent = True
-        for (var, sign), vertex in lit_vertex.items():
-            if sign < 0:
-                continue
-            pos_image = lit_of.get(perm[vertex])
-            neg_image = lit_of.get(perm[lit_vertex[(var, -1)]])
-            if (
-                pos_image is None
-                or neg_image is None
-                or pos_image[0] != neg_image[0]
-                or pos_image[1] != -neg_image[1]
-            ):
-                consistent = False
-                break
-            mapping[var] = pos_image[0] * pos_image[1]
-        if not consistent:
+        pos, neg = perm[0:n_lits:2], perm[1:n_lits:2]
+        if sorted(perm[:n_lits]) != list(range(n_lits)) or any(
+            b != a ^ 1 for a, b in zip(pos, neg)
+        ):
             warnings.warn(
                 "discarded a vertex permutation that breaks literal pairing",
                 DetectionWarning,
                 stacklevel=2,
             )
             continue
+        mapping = {
+            v: -variables[a >> 1] if a & 1 else variables[a >> 1]
+            for v, a in zip(variables, pos)
+        }
         g = SignedPermutation.from_dict(mapping)
         if g.is_identity or g in seen:
             continue
@@ -391,18 +349,14 @@ def detect_symmetries(
     automorphisms within ``budget`` node expansions, and converts it to
     verified signed-permutation generators.  ``complete=False`` signals
     that the budget ran out and the generators may not generate the whole
-    group.  The group order is the graph's, divided by the ``m!``
-    permutations of each set of ``m`` clauses with one literal set, which
-    move no variable.
+    group.
     """
     graph = build_symmetry_graph(instance)
     search = find_automorphisms(graph, budget=budget)
-    generators = to_signed_permutations(search.permutations, instance, graph=graph)
-    order = search.order
-    if order is not None:
-        for m in Counter(frozenset(c) for c in instance.clauses).values():
-            order //= factorial(m)
-    return DetectionResult(generators, search.complete, search.nodes_expanded, order)
+    generators = to_signed_permutations(search.permutations, instance)
+    return DetectionResult(
+        generators, search.complete, search.nodes_expanded, search.order
+    )
 
 
 def brute_force_symmetries(

@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import CapExceededError, ValidationError
-from .formulas import Formula, Not, Var, evaluate, map_variables, variables
+from .formulas import Formula, evaluate, literal, map_variables, variables
 from .qdimacs import Prefix, QbfInstance, normalize_clause
 
 ADMISSIBLE_VAR_CAP = 16
@@ -86,8 +86,7 @@ class SignedPermutation:
         return tuple(self.apply_to_clause(c) for c in clauses)
 
     def apply_to_formula(self, formula: Formula) -> Formula:
-        images = {v: Var(img) if img > 0 else Not(Var(-img)) for v, img in self.mapping}
-        return map_variables(formula, images)
+        return map_variables(formula, {v: literal(img) for v, img in self.mapping})
 
     def apply_to_assignment(self, sigma: Mapping[int, bool]) -> dict[int, bool]:
         """Pointwise image assignment: result(x) = value of image(x) under sigma."""
@@ -110,11 +109,6 @@ class SignedPermutation:
         for v, img in self.mapping:
             inv[abs(img)] = v if img > 0 else -v
         return SignedPermutation.from_dict(inv)
-
-    def to_admissible_map(self) -> "AdmissibleMap":
-        return AdmissibleMap(
-            tuple((v, Var(img) if img > 0 else Not(Var(-img))) for v, img in self.mapping)
-        )
 
 
 @dataclass(frozen=True)

@@ -91,15 +91,8 @@ class Prefix:
         return tuple(v for block in self.blocks for v in block.variables)
 
     @cached_property
-    def _positions(self) -> dict[int, tuple[int, int]]:
-        # var -> (block index, prefix position)
-        out: dict[int, tuple[int, int]] = {}
-        pos = 0
-        for bi, block in enumerate(self.blocks):
-            for v in block.variables:
-                out[v] = (bi, pos)
-                pos += 1
-        return out
+    def _block_index(self) -> dict[int, int]:
+        return {v: bi for bi, block in enumerate(self.blocks) for v in block.variables}
 
     @property
     def n(self) -> int:
@@ -110,13 +103,7 @@ class Prefix:
 
     def block_index_of(self, var: int) -> int:
         try:
-            return self._positions[var][0]
-        except KeyError:
-            raise ValidationError(f"variable {var} is not quantified") from None
-
-    def position_of(self, var: int) -> int:
-        try:
-            return self._positions[var][1]
+            return self._block_index[var]
         except KeyError:
             raise ValidationError(f"variable {var} is not quantified") from None
 

@@ -19,7 +19,7 @@ from qsymbreak.breakers import (
 )
 from qsymbreak.errors import ValidationError
 from qsymbreak.formulas import FALSE, TRUE, Iff, Not, Var, equivalent, evaluate
-from qsymbreak.groups import AdmissibleMap, SignedPermutation
+from qsymbreak.groups import AdmissibleMap, SignedPermutation, is_syntactic_symmetry
 from qsymbreak.qdimacs import (
     EXISTS,
     FORALL,
@@ -28,7 +28,7 @@ from qsymbreak.qdimacs import (
     parse_dnf,
     serialize_dnf,
 )
-from qsymbreak.strategies import qbf_truth
+from qsymbreak.strategies import enumerate_strategies, qbf_truth, semantic_orbits
 
 import oracles
 
@@ -329,6 +329,28 @@ def test_verify_breaker_on_the_klein_example():
     report = verify_breaker(PREFIX_AEE, gens, Iff(Var(2), Var(3)))
     assert not report.ok
     assert report.covered == 1
+
+
+def test_orbits_are_path_wise_not_group_orbits():
+    # forall x1 exists x2 with (x1 or x2)(x1 or -x2), closed under x2 -> -x2
+    prefix = Prefix.from_pairs([(FORALL, [1]), (EXISTS, [2])])
+    flip = SignedPermutation.from_dict({1: 1, 2: -2})
+    assert is_syntactic_symmetry(flip, QbfInstance(prefix, ((1, 2), (1, -2))))
+    (orbit,) = semantic_orbits(prefix, [flip])
+    assert sorted(s.labels for s in orbit) == sorted(
+        s.labels for s in enumerate_strategies(prefix, EXISTS)
+    )
+    assert len(orbit) == 4
+    copy = [s for s in orbit if all(p[2] == p[1] for p in s.paths)]
+    negated_copy = [s for s in orbit if all(p[2] != p[1] for p in s.paths)]
+    assert len(copy) == len(negated_copy) == 1
+    # x2 := x1 and its image x2 := -x1 both violate -x2, so a relation by
+    # group orbits of whole strategies would leave their orbit uncovered
+    # and wrongly reject this correct breaker; the path-wise relation puts
+    # them with x2 := false, which satisfies it
+    report = verify_breaker(prefix, [flip], Not(Var(2)))
+    assert report.ok
+    assert (report.orbit_count, report.covered) == (1, 1)
 
 
 def test_generated_breakers_always_verify():

@@ -385,11 +385,12 @@ def test_gen_kbkf_rejects_zero_levels(capsys):
     assert run(capsys, "gen", "kbkf", "0")[0] == 2
 
 
-def test_module_entry_point():
+def test_module_entry_point(package_env):
     proc = subprocess.run(
         [sys.executable, "-m", "qsymbreak", "gen", "kbkf", "1"],
         capture_output=True,
         text=True,
+        env=package_env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("p cnf 4 5\n")

@@ -1,17 +1,14 @@
 """Symmetry detection: graph encoding, refinement, search, conversion."""
 
-import os
 import random
 import subprocess
 import sys
 import warnings
 from itertools import permutations
 from math import factorial
-from pathlib import Path
 
 import pytest
 
-import qsymbreak
 from qsymbreak.benchmarks import gen_kbkf
 from qsymbreak.detect import (
     AutomorphismResult,
@@ -54,16 +51,10 @@ def test_graph_of_single_clause():
     assert graph.n_vertices == 5
     assert len(graph.edges) == 4
     assert graph.colors == (0, 0, 0, 0, 1)
-    assert graph.tags[:4] == (
-        ("literal", 1, 1),
-        ("literal", 1, -1),
-        ("literal", 2, 1),
-        ("literal", 2, -1),
-    )
-    assert graph.tags[4] == ("clause", 0)
     # two negation edges plus the clause's two incidences
     assert graph.has_edge(0, 1) and graph.has_edge(2, 3)
     assert graph.has_edge(4, 0) and graph.has_edge(4, 2)
+    assert graph.adjacency == ((1, 4), (0,), (3, 4), (2,), (0, 2))
 
 
 def test_graph_of_empty_matrix():
@@ -77,10 +68,14 @@ def test_graph_counts_on_random_instances():
     rng = random.Random(33)
     for _ in range(50):
         inst = oracles.random_instance(rng, rng.randint(1, 8), rng.randint(0, 10))
+        inst = QbfInstance(inst.prefix, inst.clauses + inst.clauses[:2])
         graph = build_symmetry_graph(inst)
-        n, m = inst.prefix.n, len(inst.clauses)
-        assert graph.n_vertices == 2 * n + m
-        assert len(graph.edges) == n + sum(len(c) for c in inst.clauses)
+        distinct = {frozenset(c) for c in inst.clauses}
+        n = inst.prefix.n
+        assert graph.n_vertices == 2 * n + len(distinct)
+        assert len(graph.edges) == n + sum(len(c) for c in distinct)
+        assert all(list(row) == sorted(row) for row in graph.adjacency)
+        assert all(graph.has_edge(v, u) for u, v in graph.edges)
 
 
 def test_refinement_is_idempotent():
@@ -140,9 +135,8 @@ def test_detected_group_contains_the_copy_gadget_swap():
 
 
 def test_vertex_permutation_conversion():
-    graph = build_symmetry_graph(PAIR)
     swap = (2, 3, 0, 1, 4)
-    (g,) = to_signed_permutations([swap], PAIR, graph=graph)
+    (g,) = to_signed_permutations([swap], PAIR)
     assert g == SignedPermutation.from_dict({1: 2, 2: 1})
 
     flip_inst = QbfInstance(prefix=Prefix.from_pairs([(EXISTS, [1])]), clauses=())
@@ -151,16 +145,17 @@ def test_vertex_permutation_conversion():
 
 
 def test_conversion_drops_identity():
-    graph = build_symmetry_graph(PAIR)
-    assert to_signed_permutations([(0, 1, 2, 3, 4)], PAIR, graph=graph) == ()
+    assert to_signed_permutations([(0, 1, 2, 3, 4)], PAIR) == ()
 
 
 def test_conversion_warns_on_broken_pairing():
     inst = QbfInstance(prefix=Prefix.from_pairs([(EXISTS, [1, 2])]), clauses=())
-    # maps x's literal pair onto vertices of two different variables
-    bad = (0, 2, 1, 3)
-    with pytest.warns(DetectionWarning):
-        assert to_signed_permutations([bad], inst) == ()
+    # maps x's literal pair onto vertices of two different variables; a
+    # map that misses literal vertices; one that pairs 2 with 3 but leaves
+    # vertex 3 without an image; one that maps both pairs onto x's
+    for bad in [(0, 2, 1, 3), (0,), (2, 3, 0), (0, 1, 0, 1)]:
+        with pytest.warns(DetectionWarning):
+            assert to_signed_permutations([bad], inst) == ()
 
 
 def test_detector_output_is_sound():
@@ -300,12 +295,56 @@ def test_free_block_search_completes():
 
 
 def test_twin_clauses_do_not_count_toward_the_order():
-    # swapping the two copies of (x or y) moves no variable
+    # the two copies of (x or y) share one clause vertex, so no graph
+    # automorphism swaps them
     twins = QbfInstance(prefix=PAIR.prefix, clauses=((1, 2), (1, 2)))
     result = detect_symmetries(twins)
     assert result.group_order == 2
     assert result.generators == (SignedPermutation.from_dict({1: 2, 2: 1}),)
-    assert find_automorphisms(build_symmetry_graph(twins)).order == 4
+    assert find_automorphisms(build_symmetry_graph(twins)).order == 2
+
+
+def test_twin_clause_is_not_swapped_with_a_single_clause():
+    # swapping x and y would map the twice-listed (x or z) onto the
+    # once-listed (y or z); the clause colors keep them apart
+    inst = QbfInstance(
+        prefix=Prefix.from_pairs([(EXISTS, [1, 2, 3])]),
+        clauses=((1, 3), (2, 3), (1, 3)),
+    )
+    assert brute_force_symmetries(inst) == ()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DetectionWarning)
+        result = detect_symmetries(inst)
+    assert result.complete
+    assert result.generators == ()
+    assert result.group_order == 1
+    assert find_automorphisms(build_symmetry_graph(inst)).permutations == ()
+
+
+def test_repeated_clauses_keep_the_group():
+    rng = random.Random(404)
+    checked = 0
+    for _ in range(40):
+        inst = oracles.random_instance(rng, rng.randint(1, 5), rng.randint(1, 5))
+        clauses = list(inst.clauses)
+        clauses += rng.sample(clauses, rng.randint(1, len(clauses)))
+        rng.shuffle(clauses)
+        inst = QbfInstance(inst.prefix, tuple(clauses))
+        try:
+            reference = brute_force_symmetries(inst, cap=50_000)
+        except CapExceededError:
+            continue
+        checked += 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DetectionWarning)
+            result = detect_symmetries(inst, budget=200_000)
+        assert result.complete
+        identity = SignedPermutation.identity(inst.prefix.variables)
+        closure = set(group_closure(result.generators or [identity]))
+        assert closure == set(reference) | {identity}
+        assert result.group_order == len(closure)
+        assert find_automorphisms(build_symmetry_graph(inst)).order == len(closure)
+    assert checked >= 30
 
 
 def test_unsorted_clauses_keep_their_symmetries():
@@ -317,7 +356,7 @@ def test_unsorted_clauses_keep_their_symmetries():
     assert result.group_order == 2
 
 
-def test_long_first_path_needs_no_recursion():
+def test_long_first_path_needs_no_recursion(package_env):
     script = (
         "import sys\n"
         "from qsymbreak.detect import detect_symmetries\n"
@@ -329,13 +368,11 @@ def test_long_first_path_needs_no_recursion():
         "    result = detect_symmetries(instance, budget=budget)\n"
         "    print(result.complete, len(result.generators))\n"
     )
-    env = dict(os.environ)
-    package_root = str(Path(qsymbreak.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=package_env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
