@@ -55,7 +55,13 @@ from .strategies import (
     strategy_value,
 )
 
-AUGMENT_MODES = ("conjoin-cnf", "attach-dnf", "combined")
+# per augment mode: the polarities of the encodings it takes, and how to say so
+_MODE_ENCODINGS = {
+    "conjoin-cnf": ((EXISTS,), "an existential encoding"),
+    "attach-dnf": ((FORALL,), "a universal encoding"),
+    "combined": ((EXISTS, FORALL), "a pair of encodings (existential, universal)"),
+}
+AUGMENT_MODES = tuple(_MODE_ENCODINGS)
 
 
 def _checked_generators(prefix: Prefix, generators) -> tuple[SignedPermutation, ...]:
@@ -322,33 +328,15 @@ def encode_universal_dnf(
     return _encode(prefix, generators, start_var, FORALL)
 
 
-def _split_pair(encoded) -> tuple[EncodedBreaker, EncodedBreaker]:
-    try:
-        first, second = encoded
-    except (TypeError, ValueError):
-        raise ValidationError(
-            "combined mode needs a pair of encodings (existential, universal)"
-        ) from None
-    by_polarity = {e.polarity: e for e in (first, second)}
-    if set(by_polarity) != {EXISTS, FORALL}:
-        raise ValidationError(
-            "combined mode needs one existential and one universal encoding"
-        )
-    return by_polarity[EXISTS], by_polarity[FORALL]
-
-
-def _check_target(instance: QbfInstance, encoded: EncodedBreaker) -> None:
-    if encoded.original_prefix != instance.prefix:
-        raise ValidationError("encoding was built for a different prefix")
-
-
 def _merged_prefix(instance: QbfInstance, *encodings: EncodedBreaker) -> Prefix:
     """The instance prefix with the chain variables of every encoding
-    inserted, each quantified by its encoding's polarity."""
+    inserted, each quantified by its encoding's polarity; for a single
+    encoding this is its own ``prefix``."""
     slot_items: list[tuple[int, int, str]] = []
     taken: set[int] = set()
     for encoded in encodings:
-        _check_target(instance, encoded)
+        if encoded.original_prefix != instance.prefix:
+            raise ValidationError("encoding was built for a different prefix")
         overlap = taken.intersection(encoded.aux_vars)
         if overlap:
             raise ValidationError(f"encodings share chain variables {sorted(overlap)}")
@@ -370,34 +358,18 @@ def augment_instance(
     disjoint chain variables; the returned instance and sidecar share
     one merged prefix.
     """
-    if mode == "conjoin-cnf":
-        if not isinstance(encoded, EncodedBreaker) or encoded.polarity != EXISTS:
-            raise ValidationError("conjoin-cnf needs an existential encoding")
-        _check_target(instance, encoded)
-        out = QbfInstance(
-            prefix=encoded.prefix,
-            clauses=instance.clauses + encoded.clauses,
-            comments=instance.comments,
-        )
-        return out, None
-    if mode == "attach-dnf":
-        if not isinstance(encoded, EncodedBreaker) or encoded.polarity != FORALL:
-            raise ValidationError("attach-dnf needs a universal encoding")
-        _check_target(instance, encoded)
-        out = QbfInstance(
-            prefix=encoded.prefix, clauses=instance.clauses, comments=instance.comments
-        )
-        return out, (encoded.prefix, encoded.cubes)
-    if mode == "combined":
-        existential, universal = _split_pair(encoded)
-        merged = _merged_prefix(instance, existential, universal)
-        out = QbfInstance(
-            prefix=merged,
-            clauses=instance.clauses + existential.clauses,
-            comments=instance.comments,
-        )
-        return out, (merged, universal.cubes)
-    raise ValidationError(f"unknown augment mode {mode!r}; pick one of {AUGMENT_MODES}")
+    if mode not in AUGMENT_MODES:
+        raise ValidationError(f"unknown augment mode {mode!r}; pick one of {AUGMENT_MODES}")
+    polarities, needs = _MODE_ENCODINGS[mode]
+    paired = len(polarities) > 1 and isinstance(encoded, (tuple, list))
+    encodings = tuple(encoded) if paired else (encoded,)
+    given = sorted(e.polarity if isinstance(e, EncodedBreaker) else "" for e in encodings)
+    if given != sorted(polarities):
+        raise ValidationError(f"{mode} needs {needs}")
+    merged = _merged_prefix(instance, *encodings)
+    terms = {e.polarity: e.terms for e in encodings}
+    out = QbfInstance(merged, instance.clauses + terms.get(EXISTS, ()), instance.comments)
+    return out, ((merged, terms[FORALL]) if FORALL in terms else None)
 
 
 def augmented_formula(
@@ -412,12 +384,8 @@ def augmented_formula(
     """
     phi: Formula = clauses_to_formula(instance.clauses)
     if universal is not None:
-        if universal.polarity != FORALL:
-            raise ValidationError("universal argument must be a universal encoding")
         phi = Or((phi, cubes_to_formula(universal.cubes)))
     if existential is not None:
-        if existential.polarity != EXISTS:
-            raise ValidationError("existential argument must be an existential encoding")
         phi = And((phi, clauses_to_formula(existential.clauses)))
     present = [e for e in (existential, universal) if e is not None]
     return _merged_prefix(instance, *present), phi

@@ -102,7 +102,7 @@ def _encode_both(prefix, gens):
     existential one so that they can share one prefix."""
     enc_e = encode_existential_cnf(prefix, gens)
     enc_u = encode_universal_dnf(
-        prefix, gens, start_var=max((*prefix.variables, *enc_e.aux_vars)) + 1
+        prefix, gens, start_var=max((*prefix.variables, *enc_e.aux_vars), default=0) + 1
     )
     return enc_e, enc_u
 
@@ -281,7 +281,7 @@ def _add_output_arg(parser):
 def _add_detection_args(parser):
     parser.add_argument(
         "--budget",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_BUDGET,
         metavar="N",
         help="search-node budget for symmetry detection",
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.add_argument(
         "--cap",
-        type=int,
+        type=_positive_int,
         default=4096,
         metavar="N",
         help="strategy-enumeration cap for the orbit-coverage checks",

@@ -118,7 +118,8 @@ def refine_colors(
         ]
         rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         new = tuple(rank[sig] for sig in sigs)
-        if new == current:
+        # a discrete coloring is stable: the next pass would keep its ids
+        if new == current or len(rank) == n:
             return new
         current = new
 

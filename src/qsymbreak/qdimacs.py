@@ -14,6 +14,7 @@ one cube per line terminated by 0.
 from __future__ import annotations
 
 import io
+import re
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -148,29 +149,55 @@ class QbfInstance:
 
 
 def _read_text(source: str | bytes | IO) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
+    data = source if isinstance(source, (str, bytes)) else source.read()
     return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
-def _parse_header(text: str, kind: str):
-    """Common token walk for 'p cnf' and 'p dnf' files.
+# per format: the word for one term, and the word for a term holding l and -l
+_TERMS = {"cnf": ("clause", "tautological"), "dnf": ("cube", "contradictory")}
 
-    Returns (comments, pairs, terms, declared_vars, declared_terms).
+
+def _column(raw: str, tok: str) -> int:
+    """1-based column of the first whitespace-delimited ``tok`` in ``raw``."""
+    return re.search(rf"(?<!\S){re.escape(tok)}(?!\S)", raw).start() + 1
+
+
+def _read(source: str | bytes | IO, kind: str):
+    """One token walk for 'p cnf' and 'p dnf' text.
+
+    Returns (comments, prefix, terms, free): the normalized terms, with
+    those holding l and -l dropped, and the term variables that no
+    quantifier line binds. A clause file binds those in a leading
+    existential block; a cube file is rejected at the line where the first
+    of them appears. Warnings come in this order: unterminated final term,
+    dropped terms, free variables, variable count, term count.
     """
+    noun, void = _TERMS[kind]
     comments: list[str] = []
     pairs: list[tuple[str, list[int]]] = []
-    terms: list[tuple[int, ...] | None] = []
+    terms: list[tuple[int, ...]] = []
     declared: tuple[int, int] | None = None
-    seen_clause = False
     quantified: set[int] = set()
+    unquantified: dict[int, int] = {}  # variable -> line of first appearance
+    pending: dict[int, int] = {}  # the same, within the open term
     current: list[int] = []
-    current_start = (1, 1)
+    current_line = 0
+    dropped = 0
 
-    for lineno, raw in enumerate(_read_text(text).splitlines(), start=1):
+    def close_term() -> None:
+        nonlocal dropped
+        term = normalize_clause(current)
+        if term is None:
+            dropped += 1
+        else:
+            terms.append(term)
+            for l in term:
+                if abs(l) in pending:
+                    unquantified.setdefault(abs(l), pending[abs(l)])
+        current.clear()
+        pending.clear()
+
+    for lineno, raw in enumerate(_read_text(source).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -182,7 +209,7 @@ def _parse_header(text: str, kind: str):
             if declared is not None:
                 raise QdimacsParseError("duplicate problem line", lineno)
             if len(fields) != 4 or fields[1] != kind:
-                raise QdimacsParseError(f"expected 'p {kind} <vars> <{kind_word(kind)}>'", lineno)
+                raise QdimacsParseError(f"expected 'p {kind} <vars> <{noun}s>'", lineno)
             try:
                 declared = (int(fields[2]), int(fields[3]))
             except ValueError:
@@ -194,7 +221,7 @@ def _parse_header(text: str, kind: str):
             # quantifier line: 'a' or 'e' followed by variable ids and 0
             if declared is None:
                 raise QdimacsParseError("quantifier line before problem line", lineno)
-            if seen_clause or current:
+            if terms or dropped or current:
                 raise QdimacsParseError("quantifier line after first clause", lineno)
             body = line[1:].split()
             try:
@@ -219,41 +246,65 @@ def _parse_header(text: str, kind: str):
         # clause/cube tokens, possibly spanning lines
         if declared is None:
             raise QdimacsParseError("clause before problem line", lineno)
-        col = 1
-        for tok in raw.split():
-            start_col = raw.index(tok, col - 1) + 1
-            col = start_col + len(tok)
+        for tok in line.split():
             try:
                 lit = int(tok)
             except ValueError:
-                raise QdimacsParseError(f"unexpected token {tok!r}", lineno, start_col) from None
-            if lit == 0 and tok != "0":
-                raise QdimacsParseError("variable 0 in clause body", lineno, start_col)
-            if lit == 0:
-                terms.append(normalize_clause(current))
-                current = []
-                seen_clause = True
-            else:
+                raise QdimacsParseError(
+                    f"unexpected token {tok!r}", lineno, _column(raw, tok)
+                ) from None
+            if lit:
                 if not current:
-                    current_start = (lineno, start_col)
+                    current_line = lineno
+                if abs(lit) not in quantified:
+                    pending.setdefault(abs(lit), lineno)
                 current.append(lit)
+            elif tok != "0":
+                raise QdimacsParseError("variable 0 in clause body", lineno, _column(raw, tok))
+            else:
+                close_term()
 
     if declared is None:
         raise QdimacsParseError("missing problem line", 1)
     if current:
         warnings.warn(
+            QdimacsWarning(f"unterminated final {noun} at line {current_line} (missing 0); kept")
+        )
+        close_term()
+    if kind == "dnf" and unquantified:
+        var, lineno = next(iter(unquantified.items()))
+        raise QdimacsParseError(f"cube variable {var} is not quantified", lineno)
+    if dropped:
+        warnings.warn(QdimacsWarning(f"dropped {dropped} {void} {noun}(s)"))
+    free = sorted(unquantified)
+    if free:
+        pairs.insert(0, (EXISTS, free))
+        warnings.warn(QdimacsWarning(f"free variables bound existentially: {free}"))
+    declared_vars, declared_terms = declared
+    max_var = max((*quantified, *free), default=0)
+    if kind == "cnf" and declared_vars < max_var:
+        warnings.warn(
+            QdimacsWarning(f"header declares {declared_vars} variables but {max_var} appear")
+        )
+    if declared_terms != len(terms) + dropped:
+        warnings.warn(
             QdimacsWarning(
-                f"unterminated final {kind_word(kind, singular=True)} at line "
-                f"{current_start[0]} (missing 0); kept"
+                f"header declares {declared_terms} {noun}s but {len(terms) + dropped} appear"
             )
         )
-        terms.append(normalize_clause(current))
-    return comments, pairs, terms, declared
+    return tuple(comments), Prefix.from_pairs(pairs), tuple(terms), tuple(free)
 
 
-def kind_word(kind: str, singular: bool = False) -> str:
-    word = "clauses" if kind == "cnf" else "cubes"
-    return word[:-1] if singular else word
+def _write(kind: str, prefix: Prefix, terms, comments: Iterable[str] = ()) -> str:
+    out = io.StringIO()
+    for comment in comments:
+        out.write(f"c {comment}\n" if comment else "c\n")
+    out.write(f"p {kind} {max(prefix.variables, default=0)} {len(terms)}\n")
+    for block in prefix.blocks:
+        out.write(f"{block.quantifier} {' '.join(map(str, block.variables))} 0\n")
+    for term in terms:
+        out.write(" ".join(map(str, term + (0,))) + "\n")
+    return out.getvalue()
 
 
 def parse_qdimacs(source: str | bytes | IO) -> QbfInstance:
@@ -262,58 +313,13 @@ def parse_qdimacs(source: str | bytes | IO) -> QbfInstance:
     Free matrix variables are bound by a synthetic outermost existential
     block and reported in ``free_vars``. Header count mismatches warn.
     """
-    comments, pairs, raw_clauses, declared = _parse_header(source, "cnf")
-    seen = {v for _, ids in pairs for v in ids}
-
-    clauses: list[tuple[int, ...]] = []
-    dropped = 0
-    for clause in raw_clauses:
-        if clause is None:
-            dropped += 1
-        else:
-            clauses.append(clause)
-    if dropped:
-        warnings.warn(QdimacsWarning(f"dropped {dropped} tautological clause(s)"))
-
-    matrix_vars = {abs(l) for clause in clauses for l in clause}
-    free = tuple(sorted(matrix_vars - seen))
-    if free:
-        pairs = [(EXISTS, list(free))] + pairs
-        warnings.warn(QdimacsWarning(f"free variables bound existentially: {list(free)}"))
-
-    declared_vars, declared_clauses = declared
-    max_var = max(max(matrix_vars, default=0), max(seen, default=0))
-    if declared_vars < max_var:
-        warnings.warn(
-            QdimacsWarning(f"header declares {declared_vars} variables but {max_var} appear")
-        )
-    if declared_clauses != len(raw_clauses):
-        warnings.warn(
-            QdimacsWarning(
-                f"header declares {declared_clauses} clauses but {len(raw_clauses)} appear"
-            )
-        )
-
-    prefix = Prefix.from_pairs(pairs)
-    return QbfInstance(
-        prefix=prefix,
-        clauses=tuple(clauses),
-        comments=tuple(comments),
-        free_vars=free,
-    )
+    comments, prefix, clauses, free = _read(source, "cnf")
+    return QbfInstance(prefix=prefix, clauses=clauses, comments=comments, free_vars=free)
 
 
 def serialize_qdimacs(instance: QbfInstance) -> str:
     """Deterministic QDIMACS text for a normalized instance."""
-    out = io.StringIO()
-    for comment in instance.comments:
-        out.write(f"c {comment}\n" if comment else "c\n")
-    out.write(f"p cnf {instance.n_vars} {len(instance.clauses)}\n")
-    for block in instance.prefix.blocks:
-        out.write(f"{block.quantifier} {' '.join(map(str, block.variables))} 0\n")
-    for clause in instance.clauses:
-        out.write(" ".join(map(str, clause + (0,))) + "\n")
-    return out.getvalue()
+    return _write("cnf", instance.prefix, instance.clauses, instance.comments)
 
 
 def serialize_dnf(prefix: Prefix, cubes: Iterable[tuple[int, ...]]) -> str:
@@ -324,36 +330,11 @@ def serialize_dnf(prefix: Prefix, cubes: Iterable[tuple[int, ...]]) -> str:
         for l in cube:
             if abs(l) not in quantified:
                 raise ValidationError(f"cube variable {abs(l)} is not quantified")
-    out = io.StringIO()
-    out.write(f"p dnf {max(prefix.variables, default=0)} {len(cubes)}\n")
-    for block in prefix.blocks:
-        out.write(f"{block.quantifier} {' '.join(map(str, block.variables))} 0\n")
-    for cube in cubes:
-        out.write(" ".join(map(str, cube + (0,))) + "\n")
-    return out.getvalue()
+    return _write("dnf", prefix, cubes)
 
 
 def parse_dnf(source: str | bytes | IO) -> tuple[Prefix, tuple[tuple[int, ...], ...]]:
-    """Parse the DNF sidecar format back into (prefix, cubes)."""
-    comments, pairs, raw_cubes, declared = _parse_header(source, "dnf")
-    del comments
-    prefix = Prefix.from_pairs(pairs)
-    quantified = set(prefix.variables)
-
-    cubes: list[tuple[int, ...]] = []
-    dropped = 0
-    for cube in raw_cubes:
-        if cube is None:
-            dropped += 1
-            continue
-        for l in cube:
-            if abs(l) not in quantified:
-                raise QdimacsParseError(f"cube variable {abs(l)} is not quantified", 1)
-        cubes.append(cube)
-    if dropped:
-        warnings.warn(QdimacsWarning(f"dropped {dropped} contradictory cube(s)"))
-    if declared[1] != len(raw_cubes):
-        warnings.warn(
-            QdimacsWarning(f"header declares {declared[1]} cubes but {len(raw_cubes)} appear")
-        )
-    return prefix, tuple(cubes)
+    """Parse the DNF sidecar format back into (prefix, cubes); a cube
+    variable that no quantifier line binds is an error."""
+    _, prefix, cubes, _ = _read(source, "dnf")
+    return prefix, cubes

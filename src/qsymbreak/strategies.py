@@ -225,7 +225,9 @@ def qbf_truth(target: QbfInstance | tuple[Prefix, Formula], cap: int = TRUTH_VAR
     universal = tuple(prefix.quantifier_of(v) == FORALL for v in order)
     if isinstance(matrix, Formula):
         restrict = _restrict_formula
-        start = matrix.value if isinstance(matrix, Const) else matrix
+        # fold once: raw constructors may leave constants an empty prefix never restricts
+        start = substitute(matrix, {})
+        start = start.value if isinstance(start, Const) else start
     else:
         restrict = _restrict_clauses
         # no clauses is true, an empty clause is false

@@ -247,6 +247,7 @@ def test_conjoining_the_cnf_encoding_preserves_truth():
         enc = encode_existential_cnf(inst.prefix, [g])
         augmented, sidecar = augment_instance(inst, enc, "conjoin-cnf")
         assert sidecar is None
+        assert augmented.prefix == enc.prefix
         assert augmented.clauses[: len(inst.clauses)] == inst.clauses
         assert qbf_truth(augmented) == truth
 
@@ -306,6 +307,25 @@ def test_augment_rejects_mismatches():
     assert clashing.aux_vars
     with pytest.raises(ValidationError, match="share chain variables"):
         augment_instance(inst, (enc, clashing), "combined")
+    dual = encode_universal_dnf(PREFIX_AEE, [SWAP], start_var=max(enc.aux_vars) + 1)
+    for mode, bad in [
+        ("conjoin-cnf", dual),
+        ("conjoin-cnf", (enc, dual)),
+        ("attach-dnf", (dual,)),
+        ("combined", (enc, enc)),
+        ("combined", (enc, None)),
+        ("combined", None),
+    ]:
+        with pytest.raises(ValidationError, match="needs"):
+            augment_instance(inst, bad, mode)
+    # the pair may come in either order
+    assert augment_instance(inst, (dual, enc), "combined") == augment_instance(
+        inst, (enc, dual), "combined"
+    )
+    with pytest.raises(ValidationError):
+        augmented_formula(inst, existential=dual)
+    with pytest.raises(ValidationError):
+        augmented_formula(inst, universal=enc)
 
 
 def test_verify_breaker_on_the_klein_example():

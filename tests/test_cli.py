@@ -125,9 +125,26 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run(capsys, "detect", "--collapse-binary", path)[0] == 1
     assert run(capsys, "break", "--exists", "--product-length", "0", path)[0] == 1
     assert run(capsys, "verify", "--product-length", "-2", path)[0] == 1
+    assert run(capsys, "verify", "--cap", "-5", path)[0] == 1
+    assert run(capsys, "verify", "--cap", "0", path)[0] == 1
+    assert run(capsys, "detect", "--budget", "-1", path)[0] == 1
+    assert run(capsys, "break", "--exists", "--budget", "0", path)[0] == 1
     code, _, err = run(capsys, "break", "--exists", "--generators", "-", "-")
     assert code == 1
     assert "stdin" in err
+
+
+@pytest.mark.parametrize("text", ["p cnf 0 0\n", "p cnf 0 1\n0\n"])
+def test_empty_prefix_verifies_and_breaks(tmp_path, capsys, text):
+    path = write(tmp_path, "empty.qdimacs", text)
+    code, out, _ = run(capsys, "verify", path)
+    assert code == 0
+    assert out.count("PASS") == 7
+    sidecar = tmp_path / "empty.dnf"
+    code, out, _ = run(capsys, "break", "--both", "--dnf-out", str(sidecar), path)
+    assert code == 0
+    assert parse_qdimacs(out).clauses == parse_qdimacs(text).clauses
+    assert sidecar.read_text() == "p dnf 0 0\n"
 
 
 def test_help_exits_0(capsys):
@@ -432,13 +449,21 @@ def desk_qdimacs(draw):
     return b"".join(tokens)
 
 
-COMMANDS = (["parse"], ["detect", "--budget", "200"], ["solve"], ["verify", "--cap", "64"])
+COMMANDS = (
+    ["parse"],
+    ["detect", "--budget", "200"],
+    ["solve"],
+    ["verify", "--cap", "64"],
+    ["break", "--both", "--dnf-out", "{sidecar}"],
+)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(st.binary(max_size=24), desk_qdimacs()))
-def test_exit_codes_stay_in_the_contract(data):
+def test_exit_codes_stay_in_the_contract(tmp_path_factory, data):
+    sidecar = str(tmp_path_factory.getbasetemp() / "contract.dnf")
     for command in COMMANDS:
+        command = [arg.format(sidecar=sidecar) for arg in command]
         stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
         with (
             mock.patch.object(sys, "stdin", stdin),

@@ -12,6 +12,7 @@ import pytest
 from qsymbreak.benchmarks import gen_kbkf
 from qsymbreak.detect import (
     AutomorphismResult,
+    ColoredGraph,
     DetectionWarning,
     brute_force_symmetries,
     build_symmetry_graph,
@@ -85,6 +86,45 @@ def test_refinement_is_idempotent():
         graph = build_symmetry_graph(inst)
         stable = refine_colors(graph)
         assert refine_colors(graph, stable) == stable
+
+
+def _refine_to_fixpoint(graph, colors):
+    """Reference refinement: rank (color, sorted neighbor colors) until no
+    pass changes the ids."""
+    current = tuple(colors)
+    while True:
+        sigs = [
+            (current[v], tuple(sorted(current[u] for u in graph.adjacency[v])))
+            for v in range(graph.n_vertices)
+        ]
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        new = tuple(rank[sig] for sig in sigs)
+        if new == current:
+            return new
+        current = new
+
+
+def test_refinement_matches_the_fixpoint_loop():
+    # refine_colors stops as soon as the coloring is discrete; the
+    # reference loop runs on until a pass changes nothing
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        rows = [set() for _ in range(n)]
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < 0.3:
+                    rows[u].add(v)
+                    rows[v].add(u)
+        graph = ColoredGraph(
+            n, tuple(tuple(sorted(row)) for row in rows), tuple([0] * n)
+        )
+        colorings = [
+            tuple(rng.randrange(rng.randint(1, n)) for _ in range(n)),
+            tuple(rng.sample(range(3 * n), n)),  # discrete, ids not 0..n-1
+        ]
+        for colors in colorings:
+            assert refine_colors(graph, colors) == _refine_to_fixpoint(graph, colors)
 
 
 def test_refinement_separates_clauses_of_different_width():

@@ -174,6 +174,45 @@ def test_dnf_round_trip():
     assert serialize_dnf(back_prefix, back_cubes) == text
 
 
+def test_parse_dnf_names_the_line_of_an_unquantified_variable():
+    # the cube (-1, 2) starts on line 4; variable 2 sits on line 5
+    text = "p dnf 2 2\na 1 0\n1 0\n-1\n2 0\n"
+    with pytest.raises(QdimacsParseError, match="cube variable 2 is not quantified") as err:
+        parse_dnf(text)
+    assert err.value.line == 5
+
+
+def test_parse_dnf_drops_contradictory_cubes_and_checks_the_count():
+    text = "p dnf 2 4\na 1 0\ne 2 0\n1 -1 0\n-1 2 0\n2"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        prefix, cubes = parse_dnf(text)
+    assert [str(w.message) for w in caught] == [
+        "unterminated final cube at line 6 (missing 0); kept",
+        "dropped 1 contradictory cube(s)",
+        "header declares 4 cubes but 3 appear",
+    ]
+    assert all(w.category is QdimacsWarning for w in caught)
+    assert prefix == Prefix.from_pairs([(FORALL, [1]), (EXISTS, [2])])
+    assert cubes == ((-1, 2), (2,))
+
+
+def test_parse_warnings_come_in_a_fixed_order():
+    text = "p cnf 1 2\ne 1 0\n1 5 0\n2 -2 0\n3"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        inst = parse_qdimacs(text)
+    assert [str(w.message) for w in caught] == [
+        "unterminated final clause at line 5 (missing 0); kept",
+        "dropped 1 tautological clause(s)",
+        "free variables bound existentially: [3, 5]",
+        "header declares 1 variables but 5 appear",
+        "header declares 2 clauses but 3 appear",
+    ]
+    assert inst.free_vars == (3, 5)
+    assert inst.clauses == ((1, 5), (3,))
+
+
 def test_flipped_prefix_swaps_quantifiers():
     prefix = Prefix.from_pairs([(FORALL, [1]), (EXISTS, [2, 3])])
     assert prefix.flipped() == Prefix.from_pairs([(EXISTS, [1]), (FORALL, [2, 3])])
