@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import ValidationError
 from .formulas import (
@@ -41,6 +41,7 @@ from .formulas import (
     clauses_to_formula,
     conj,
     cubes_to_formula,
+    evaluate,
     iff,
     implies,
     literal,
@@ -52,7 +53,6 @@ from .strategies import (
     UNIVERSAL,
     ENUMERATION_CAP,
     semantic_orbits,
-    strategy_value,
 )
 
 # per augment mode: the polarities of the encodings it takes, and how to say so
@@ -424,12 +424,20 @@ def verify_breaker(
     role = EXISTENTIAL if pol == EXISTS else UNIVERSAL
     target = pol == EXISTS
     orbits = semantic_orbits(prefix, list(generators), cap=cap, role=role)
+    order = prefix.variables
+
+    @cache  # the strategies share their plays: psi once per play, in prefix order
+    def psi_at(play: tuple[bool, ...]) -> bool:
+        return evaluate(formula, dict(zip(order, play)))
+
+    def value(s) -> bool:  # strategy_value, reading psi_at
+        if s.prefix != prefix:
+            raise ValidationError("strategy was built for a different prefix")
+        plays = (psi_at(tuple(map(sigma.__getitem__, order))) for sigma in s.paths)
+        return all(plays) if role == EXISTENTIAL else any(plays)
+
     uncovered = tuple(
-        k
-        for k, orbit in enumerate(orbits)
-        if not any(
-            strategy_value((prefix, formula), s) == target for s in orbit
-        )
+        k for k, orbit in enumerate(orbits) if not any(value(s) == target for s in orbit)
     )
     return BreakerReport(
         not uncovered, pol, len(orbits), len(orbits) - len(uncovered), uncovered

@@ -12,6 +12,13 @@ only by negation edges, so every automorphism keeps each variable's
 literal pair together, and distinct clauses have distinct literal sets,
 so the variables' images fix the clause vertices' images.
 
+Color refinement runs in synchronous rounds.  Internally a color is the
+start of its cell in color order: a cell splits in place, only its later
+fragments change color, and the next round examines only the cells next
+to those, since no other signature moved.  A search node refines a stable
+coloring, so its first round only splits the individualized vertex's
+neighbors off their cells.
+
 The search returns a generating set of the automorphism group, not the
 group itself: one first path of individualization and refinement, then,
 level by level from the bottom, one automorphism per orbit of the cell
@@ -25,7 +32,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 from math import factorial
 
 from .errors import CapExceededError, ValidationError
@@ -105,23 +112,83 @@ def refine_colors(
     colorings of the same graph related by an automorphism therefore
     refine to colorings related by that same automorphism with identical
     ids, which makes cell structures comparable across search branches.
-    Refining an already stable coloring returns it unchanged.
+    Refining an already stable coloring returns it unchanged.  The rounds
+    of the module docstring give the ids of full passes to the fixpoint.
     """
-    n = graph.n_vertices
     current = tuple(graph.colors if colors is None else colors)
-    if len(current) != n:
+    if len(current) != graph.n_vertices:
         raise ValidationError("coloring must assign a color to every vertex")
-    adj = graph.adjacency
-    while True:
-        sigs = [
-            (current[v], tuple(sorted(current[u] for u in adj[v]))) for v in range(n)
-        ]
-        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        new = tuple(rank[sig] for sig in sigs)
-        # a discrete coloring is stable: the next pass would keep its ids
-        if new == current or len(rank) == n:
-            return new
-        current = new
+    labels, cells = _cells(_ids(current))
+    _refine_rounds(graph.adjacency, labels, cells, list(cells))
+    return _ids(labels)
+
+
+def _ids(colors) -> tuple[int, ...]:
+    """Consecutive color ids ``0..k-1`` in the order of the given colors."""
+    rank = {c: i for i, c in enumerate(sorted(set(colors)))}
+    return tuple(map(rank.__getitem__, colors))
+
+
+def _cells(coloring: tuple[int, ...]) -> tuple[list[int], dict[int, list[int]]]:
+    """Each vertex's cell start and each start's members, for ids 0..k-1."""
+    members: list[list[int]] = [[] for _ in range(max(coloring, default=-1) + 1)]
+    for v, c in enumerate(coloring):
+        members[c].append(v)
+    starts = list(accumulate(map(len, members), initial=0))
+    return list(map(starts.__getitem__, coloring)), dict(zip(starts, members))
+
+
+def _refine_rounds(adj, labels: list[int], cells: dict[int, list[int]], touched) -> None:
+    """Refine in place from the cells labeled in ``touched``.  A cell
+    labeled ``s`` owns the labels from ``s`` to ``s + size - 1``; its fragments,
+    in order of sorted neighbor labels, start where the ones before end."""
+    while touched:
+        splits = []
+        for s in touched:
+            members = cells[s]
+            if len(members) < 2:
+                continue
+            fragments: dict[tuple[int, ...], list[int]] = {}
+            for v in members:
+                sig = tuple(sorted([labels[u] for u in adj[v]]))
+                fragments.setdefault(sig, []).append(v)
+            if len(fragments) > 1:
+                splits.append((s, [fragments[sig] for sig in sorted(fragments)]))
+        changed: list[int] = []
+        for s, (first, *later) in splits:
+            cells[s], start = first, s + len(first)
+            for fragment in later:
+                cells[start] = fragment
+                for v in fragment:
+                    labels[v] = start
+                changed += fragment
+                start += len(fragment)
+        touched = {labels[u] for v in changed for u in adj[v]}
+
+
+def _individualize(adj, coloring: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """``refine_colors`` of a stable coloring with ``v`` moved to a new
+    cell after all others (given the maximum color plus one).  Only ``v``
+    changed, so the first round splits only the cells of its neighbors:
+    their signature trades ``v``'s label for the top one and sorts last.
+    """
+    labels, cells = _cells(coloring)
+    top = len(labels)
+    cells[labels[v]].remove(v)
+    labels[v], cells[top] = top, [v]
+    nbrs, by_cell = set(adj[v]), {}
+    for u in adj[v]:
+        by_cell.setdefault(labels[u], []).append(u)
+    changed: list[int] = []
+    for s, moved in by_cell.items():
+        if rest := [u for u in cells[s] if u not in nbrs]:
+            start = s + len(rest)
+            cells[s], cells[start] = rest, moved
+            for u in moved:
+                labels[u] = start
+            changed += moved
+    _refine_rounds(adj, labels, cells, {labels[u] for w in changed for u in adj[w]})
+    return _ids(labels)
 
 
 @dataclass(frozen=True)
@@ -189,18 +256,18 @@ def find_automorphisms(
         nodes += 1
         if nodes > budget:
             raise _BudgetExhausted
-        child = list(coloring)
-        child[v] = max(coloring) + 1
-        return refine_colors(graph, tuple(child))
+        return _individualize(adj, coloring, v)
 
     def by_color(coloring: tuple[int, ...]) -> list[int]:
         return sorted(vertices, key=coloring.__getitem__)
 
     def is_automorphism(perm: list[int]) -> bool:
+        # a fixed vertex whose neighbors are fixed keeps its row
+        moved = [v for v in vertices if perm[v] != v]
         return all(
             colors0[perm[v]] == colors0[v]
             and tuple(sorted(perm[u] for u in adj[v])) == adj[perm[v]]
-            for v in range(n)
+            for v in set(moved).union(*(adj[v] for v in moved))
         )
 
     # first path colorings; automorphic images of a first-path node have
@@ -259,7 +326,7 @@ def find_automorphisms(
                     refuted.append(w)
                     continue
                 found.append(perm)
-                for v in range(n):
+                for v in [v for v in vertices if perm[v] != v]:
                     a, b = find(v), find(perm[v])
                     if a != b:
                         orbit_of[a] = b

@@ -18,6 +18,8 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from operator import neg
 from typing import IO, Iterable
 
 from .errors import QdimacsParseError, ValidationError
@@ -38,9 +40,10 @@ def other_quantifier(q: str) -> str:
 def normalize_clause(lits: Iterable[int]) -> tuple[int, ...] | None:
     """Sort and deduplicate a clause/cube; None when it contains l and -l."""
     unique = set(lits)
-    if any(-l in unique for l in unique):
+    if not unique.isdisjoint(map(neg, unique)):
         return None
-    return tuple(sorted(unique, key=lambda l: (abs(l), l < 0)))
+    # no two literals left share a variable, so abs alone orders them
+    return tuple(sorted(unique, key=abs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,12 +127,11 @@ class QbfInstance:
 
     def __post_init__(self):
         quantified = set(self.prefix.variables)
-        for clause in self.clauses:
-            for l in clause:
-                if abs(l) not in quantified:
-                    raise ValidationError(
-                        f"matrix variable {abs(l)} is not quantified (instance must be closed)"
-                    )
+        if not quantified.issuperset(map(abs, chain.from_iterable(self.clauses))):
+            free = next(abs(l) for c in self.clauses for l in c if abs(l) not in quantified)
+            raise ValidationError(
+                f"matrix variable {free} is not quantified (instance must be closed)"
+            )
 
     @property
     def n_vars(self) -> int:

@@ -7,6 +7,7 @@ import pytest
 
 from qsymbreak.breakers import (
     BreakerFormula,
+    BreakerReport,
     EncodedBreaker,
     augment_instance,
     augmented_formula,
@@ -28,7 +29,12 @@ from qsymbreak.qdimacs import (
     parse_dnf,
     serialize_dnf,
 )
-from qsymbreak.strategies import enumerate_strategies, qbf_truth, semantic_orbits
+from qsymbreak.strategies import (
+    enumerate_strategies,
+    qbf_truth,
+    semantic_orbits,
+    strategy_value,
+)
 
 import oracles
 
@@ -415,6 +421,39 @@ def test_existential_universal_duality():
         ok_seen += here
         failed_seen += not here
     assert ok_seen and failed_seen
+
+
+def test_verify_breaker_matches_a_strategy_value_report():
+    # verify_breaker reads psi once per play; the reference evaluates it
+    # on every path of every strategy
+    def reference(prefix, gens, formula, pol):
+        role, target = pol, pol == EXISTS
+        orbits = semantic_orbits(prefix, gens, role=role)
+        uncovered = tuple(
+            k
+            for k, orbit in enumerate(orbits)
+            if not any(strategy_value((prefix, formula), s) == target for s in orbit)
+        )
+        return BreakerReport(
+            not uncovered, pol, len(orbits), len(orbits) - len(uncovered), uncovered
+        )
+
+    rng = random.Random(58)
+    seen = {(EXISTS, True): 0, (EXISTS, False): 0, (FORALL, True): 0, (FORALL, False): 0}
+    for _ in range(160):
+        prefix = oracles.random_prefix(rng, rng.randint(1, 4))
+        gens = [oracles.random_involution(rng, prefix) for _ in range(rng.randint(0, 2))]
+        pol = rng.choice((EXISTS, FORALL))
+        if rng.random() < 0.5:
+            formula = oracles.random_formula(rng, list(prefix.variables))
+            psi = BreakerFormula(pol, (formula,), ())
+        else:
+            make = lex_leader_formula if pol == EXISTS else universal_lex_leader_formula
+            psi = make(prefix, gens)
+        report = verify_breaker(prefix, gens, psi)
+        assert report == reference(prefix, gens, psi.formula, pol)
+        seen[pol, report.ok] += 1
+    assert all(count >= 10 for count in seen.values()), seen
 
 
 def test_breaker_formula_validates_polarity():

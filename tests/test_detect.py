@@ -1,5 +1,6 @@
 """Symmetry detection: graph encoding, refinement, search, conversion."""
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from qsymbreak.detect import (
     AutomorphismResult,
     ColoredGraph,
     DetectionWarning,
+    _individualize,
     brute_force_symmetries,
     build_symmetry_graph,
     detect_symmetries,
@@ -104,27 +106,100 @@ def _refine_to_fixpoint(graph, colors):
         current = new
 
 
+def _graph(n, edges, colors):
+    rows = [set() for _ in range(n)]
+    for u, w in edges:
+        if u != w:
+            rows[u].add(w)
+            rows[w].add(u)
+    return ColoredGraph(n, tuple(tuple(sorted(row)) for row in rows), tuple(colors))
+
+
+def _random_graph(rng, n, p, colors):
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return _graph(n, edges, colors)
+
+
+def _symmetric_graph(rng):
+    """A circulant graph, or copies of a random colored graph, some joined
+    cyclically: stable colorings with large cells, whose refinement after
+    an individualization runs over several rounds."""
+    if rng.random() < 0.5:
+        n = rng.randint(3, 16)
+        jumps = rng.sample(range(1, n // 2 + 1), rng.randint(1, max(1, n // 4)))
+        edges = [(i, (i + j) % n) for i in range(n) for j in jumps]
+        colors = [0] * n
+    else:
+        m, copies = rng.randint(2, 6), rng.randint(2, 3)
+        n = m * copies
+        base = [(u, w) for u in range(m) for w in range(u + 1, m) if rng.random() < 0.5]
+        edges = [(u + c * m, w + c * m) for c in range(copies) for u, w in base]
+        if rng.random() < 0.5:  # join the even vertices of each copy to the next copy's
+            edges += [
+                (i + c * m, (i + (c + 1) * m) % n) for c in range(copies) for i in range(0, m, 2)
+            ]
+        colors = [rng.randrange(2) for _ in range(m)] * copies
+    return _graph(n, edges, colors)
+
+
 def test_refinement_matches_the_fixpoint_loop():
     # refine_colors stops as soon as the coloring is discrete; the
     # reference loop runs on until a pass changes nothing
     rng = random.Random(29)
     for _ in range(200):
         n = rng.randint(1, 12)
-        rows = [set() for _ in range(n)]
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < 0.3:
-                    rows[u].add(v)
-                    rows[v].add(u)
-        graph = ColoredGraph(
-            n, tuple(tuple(sorted(row)) for row in rows), tuple([0] * n)
-        )
+        graph = _random_graph(rng, n, 0.3, [0] * n)
         colorings = [
             tuple(rng.randrange(rng.randint(1, n)) for _ in range(n)),
             tuple(rng.sample(range(3 * n), n)),  # discrete, ids not 0..n-1
         ]
         for colors in colorings:
             assert refine_colors(graph, colors) == _refine_to_fixpoint(graph, colors)
+    # colored graphs, refined from their own colors and from others
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        k = rng.randint(1, 4)
+        colors = [rng.randrange(-k, k) for _ in range(n)]
+        graph = _random_graph(rng, n, rng.random() * 0.4, colors)
+        assert refine_colors(graph) == _refine_to_fixpoint(graph, graph.colors)
+        colors = tuple(rng.randrange(3) for _ in range(n))
+        assert refine_colors(graph, colors) == _refine_to_fixpoint(graph, colors)
+    for _ in range(100):
+        graph = _symmetric_graph(rng)
+        assert refine_colors(graph) == _refine_to_fixpoint(graph, graph.colors)
+    # symmetry graphs of random desk instances, repeated clauses included
+    for _ in range(150):
+        inst = oracles.random_instance(rng, rng.randint(1, 8), rng.randint(0, 14))
+        inst = QbfInstance(inst.prefix, inst.clauses + inst.clauses[: rng.randint(0, 3)])
+        graph = build_symmetry_graph(inst)
+        assert refine_colors(graph) == _refine_to_fixpoint(graph, graph.colors)
+
+
+def test_search_nodes_refine_like_the_fixpoint_loop():
+    # every child the search refines: a stable coloring with one vertex of
+    # a non-singleton cell moved to the maximum color plus one, three
+    # levels deep so that colorings with individualized vertices are
+    # parents too
+    rng = random.Random(31)
+    children = 0
+    for _ in range(200):
+        graph = _symmetric_graph(rng)
+        level = [refine_colors(graph)]
+        for _depth in range(3):
+            deeper = []
+            for coloring in level:
+                for v in range(graph.n_vertices):
+                    if coloring.count(coloring[v]) < 2:
+                        continue
+                    child = list(coloring)
+                    child[v] = max(coloring) + 1
+                    refined = _individualize(graph.adjacency, coloring, v)
+                    assert refined == _refine_to_fixpoint(graph, child)
+                    children += 1
+                    if rng.random() < 0.2:
+                        deeper.append(refined)
+            level = deeper
+    assert children > 3000
 
 
 def test_refinement_separates_clauses_of_different_width():
@@ -418,3 +493,39 @@ def test_long_first_path_needs_no_recursion(package_env):
     assert proc.returncode == 0, proc.stderr
     # the first path alone is 200 nodes deep; the whole search takes 599
     assert proc.stdout.split() == ["False", "0", "True", "399"]
+
+
+# detection outputs pinned when refinement re-sorted every vertex on every
+# pass: (nodes expanded, generators, sha256 of the generators' mappings)
+PINNED_DETECTIONS = {
+    "free_block_50": (
+        lambda: free_block(50),
+        (149, 99, "0bc45cd6199e08244e93ba782b6c9738996c8c8a60e39e09630121a747e6f6d0"),
+    ),
+    "free_block_200": (
+        lambda: free_block(200),
+        (599, 399, "2a65d653b87613f671eebefb033df818999fbab7a3a38340bc4bfe7b00d8e58a"),
+    ),
+    "kbkf_8": (
+        lambda: gen_kbkf(8),
+        (16, 8, "d9c01e02c4d50da8c5b56bb74843ba92ed55aaaab0dda805e8058b68435c7e66"),
+    ),
+    "kbkf_16": (
+        lambda: gen_kbkf(16),
+        (32, 16, "537bcc70a0dba0b70669562d7c7b8d7dba2ad33eab399774a3b56c42edf11843"),
+    ),
+    "kbkf_32": (
+        lambda: gen_kbkf(32),
+        (64, 32, "5d420407f7285730b7870288c10463b98203370ae76e1f14934b8a10f3e647ee"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DETECTIONS))
+def test_detection_outputs_stay_pinned(name):
+    make, expected = PINNED_DETECTIONS[name]
+    result = detect_symmetries(make())
+    digest = hashlib.sha256(
+        repr(tuple(g.mapping for g in result.generators)).encode()
+    ).hexdigest()
+    assert (result.nodes_expanded, len(result.generators), digest) == expected

@@ -148,6 +148,29 @@ def test_normalize_clause_orders_and_detects_tautology():
     assert normalize_clause([1, -1]) is None
 
 
+def test_normalize_clause_matches_the_abs_sign_order():
+    def reference(lits):
+        unique = set(lits)
+        if any(-l in unique for l in unique):
+            return None
+        return tuple(sorted(unique, key=lambda l: (abs(l), l < 0)))
+
+    rng = random.Random(47)
+    tautologies = 0
+    for _ in range(2000):
+        n = rng.randint(1, 9)
+        lits = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 8))]
+        assert normalize_clause(lits) == reference(lits)
+        tautologies += reference(lits) is None
+    assert 200 < tautologies < 1800
+
+
+def test_open_instance_names_its_first_unquantified_variable():
+    prefix = Prefix.from_pairs([(EXISTS, [1, 2])])
+    with pytest.raises(ValidationError, match="matrix variable 7 is not quantified"):
+        QbfInstance(prefix=prefix, clauses=((1, 2), (2, -7, 5), (9,)))
+
+
 def test_serialize_dnf_single_cube():
     prefix = Prefix.from_pairs([(FORALL, [1])])
     assert serialize_dnf(prefix, [(1,)]) == "p dnf 1 1\na 1 0\n1 0\n"
