@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 from .errors import ValidationError
 from .formulas import (
@@ -52,7 +52,8 @@ from .strategies import (
     EXISTENTIAL,
     UNIVERSAL,
     ENUMERATION_CAP,
-    semantic_orbits,
+    check_enumeration_cap,
+    orbit_classes,
 )
 
 # per augment mode: the polarities of the encodings it takes, and how to say so
@@ -393,13 +394,20 @@ def augmented_formula(
 
 @dataclass(frozen=True)
 class BreakerReport:
-    """Outcome of an orbit-coverage verification."""
+    """Outcome of an orbit-coverage verification.
+
+    ``uncovered`` lists the orbits without a kept strategy, each as the
+    sorted plays that represent its class (see ``orbit_classes``), in
+    sorted order.  ``kept`` counts the strategies the breaker keeps over
+    all orbits: the smaller, the stronger the breaker.
+    """
 
     ok: bool
     polarity: str
     orbit_count: int
     covered: int
-    uncovered: tuple[int, ...]
+    uncovered: tuple[tuple[tuple[bool, ...], ...], ...]
+    kept: int
 
     def __bool__(self) -> bool:
         return self.ok
@@ -415,7 +423,10 @@ def verify_breaker(
     whose plays ``psi`` always holds; the universal dual asks for a
     universal strategy on whose plays ``psi`` never holds.  ``psi`` may
     be a :class:`BreakerFormula` (the polarity is taken from it) or a
-    plain formula, which is checked as an existential breaker.
+    plain formula, which is checked as an existential breaker.  The
+    orbits come from ``orbit_classes``, which evaluates ``psi`` once per
+    play; ``cap`` bounds the player's strategy count, as in
+    ``semantic_orbits``.
     """
     if isinstance(psi, BreakerFormula):
         formula, pol = psi.formula, psi.polarity
@@ -423,22 +434,14 @@ def verify_breaker(
         formula, pol = psi, EXISTS
     role = EXISTENTIAL if pol == EXISTS else UNIVERSAL
     target = pol == EXISTS
-    orbits = semantic_orbits(prefix, list(generators), cap=cap, role=role)
+    check_enumeration_cap(prefix, role, cap)
     order = prefix.variables
 
-    @cache  # the strategies share their plays: psi once per play, in prefix order
-    def psi_at(play: tuple[bool, ...]) -> bool:
-        return evaluate(formula, dict(zip(order, play)))
+    def keeps(play: tuple[bool, ...]) -> bool:
+        return evaluate(formula, dict(zip(order, play))) == target
 
-    def value(s) -> bool:  # strategy_value, reading psi_at
-        if s.prefix != prefix:
-            raise ValidationError("strategy was built for a different prefix")
-        plays = (psi_at(tuple(map(sigma.__getitem__, order))) for sigma in s.paths)
-        return all(plays) if role == EXISTENTIAL else any(plays)
-
-    uncovered = tuple(
-        k for k, orbit in enumerate(orbits) if not any(value(s) == target for s in orbit)
-    )
-    return BreakerReport(
-        not uncovered, pol, len(orbits), len(orbits) - len(uncovered), uncovered
-    )
+    classes = orbit_classes(prefix, generators, role, keeps)
+    uncovered = tuple(sorted(tuple(sorted(c)) for c, (_, k) in classes.items() if not k))
+    kept = sum(k for _, k in classes.values())
+    covered = len(classes) - len(uncovered)
+    return BreakerReport(not uncovered, pol, len(classes), covered, uncovered, kept)

@@ -174,9 +174,9 @@ def _cmd_break(args) -> int:
 def _cmd_verify(args) -> int:
     _check_stream_conflict(args)
     instance = _read_instance(args.instance)
-    # the orbit-coverage checks enumerate both players' strategies; fail
-    # before symmetry detection and the truth checks when the prefix alone
-    # shows that is too many
+    # --cap bounds both players' strategy counts, which bound the orbit
+    # classes the coverage checks build; fail before symmetry detection and
+    # the truth checks when the prefix alone shows too many strategies
     for role in (EXISTENTIAL, UNIVERSAL):
         check_enumeration_cap(instance.prefix, role, args.cap)
     gens = _load_generators(args, instance)
@@ -209,7 +209,8 @@ def _cmd_verify(args) -> int:
             "ok": qbf_truth(augmented_formula(instance, enc_e, enc_u)) == base,
         },
     ]
-    # orbit coverage last: strategy enumeration dwarfs the other oracles
+    # orbit coverage: one pass over the game tree per player builds the
+    # orbit classes and counts their strategies, enumerating none
     for psi, name in ((psi_e, "existential"), (psi_u, "universal")):
         report = verify_breaker(instance.prefix, gens, psi, cap=args.cap)
         checks.append(
@@ -218,6 +219,7 @@ def _cmd_verify(args) -> int:
                 "ok": report.ok,
                 "orbits": report.orbit_count,
                 "covered": report.covered,
+                "kept": report.kept,
             }
         )
     all_ok = all(check["ok"] for check in checks)
@@ -348,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=4096,
         metavar="N",
-        help="strategy-enumeration cap for the orbit-coverage checks",
+        help="cap on either player's strategy count for the orbit-coverage checks",
     )
     _add_group_args(p)
     _add_detection_args(p)

@@ -317,19 +317,22 @@ def find_automorphisms(
         for level in reversed(range(len(path_order))):
             base, *rest = cell = _target_cell(path[level])
             refuted: list[int] = []
+            blocked = {find(base)}  # the roots of base and the refuted; merges move them
             for w in rest:
                 root = find(w)
-                if root == find(base) or any(root == find(r) for r in refuted):
+                if root in blocked:
                     continue
                 perm = match(level, w)
                 if perm is None:
                     refuted.append(w)
+                    blocked.add(root)
                     continue
                 found.append(perm)
                 for v in [v for v in vertices if perm[v] != v]:
                     a, b = find(v), find(perm[v])
                     if a != b:
                         orbit_of[a] = b
+                blocked = {find(v) for v in (base, *refuted)}
             root = find(base)
             group_order *= sum(1 for v in cell if find(v) == root)
     except _BudgetExhausted:

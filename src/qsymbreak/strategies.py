@@ -20,6 +20,11 @@ restrictions report a matrix whose value is settled as a bool.
 The module also computes semantic orbits: the partition of one player's
 strategies induced by a syntactic symmetry group acting path-wise, with
 each play's orbit walked from the generators rather than the whole group.
+Two strategies share an orbit when their plays touch the same play orbits,
+so an orbit is named by that set of play-orbit representatives, its class.
+``orbit_classes`` builds the classes in one bottom-up pass over the game
+tree, counting strategies per class, without building any strategy; the
+enumerating ``semantic_orbits`` is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import CapExceededError, ValidationError
 from .formulas import Const, Formula, evaluate, substitute
@@ -308,3 +313,66 @@ def semantic_orbits(
         fingerprint = frozenset(rep_of(sigma) for sigma in s.paths)
         buckets.setdefault(fingerprint, []).append(s)
     return list(buckets.values())
+
+
+Play = tuple[bool, ...]
+Classes = dict[frozenset[Play], tuple[int, int]]
+
+
+def orbit_classes(
+    prefix: Prefix,
+    generators: Iterable[SignedPermutation],
+    role: str,
+    keeps: Callable[[Play], bool],
+) -> Classes:
+    """The orbit classes of one player's strategies, without enumerating them.
+
+    Maps each class, the set of play-orbit representatives that the
+    strategies of one ``semantic_orbits`` orbit touch, to (strategies in
+    it, strategies all of whose plays ``keeps`` accepts). Plays are value
+    tuples in prefix order and a representative is the least play of its
+    orbit. One post-order pass over the game tree builds the map: a play
+    is one strategy of the class {its representative}; at the player's
+    own variable a strategy follows one child, so the children's maps
+    merge and their counts add; at the opponent's it answers both, so
+    every pair of child classes joins and the counts multiply. Each play
+    is visited once, so ``keeps`` runs once per play. The caller bounds
+    the work with ``check_enumeration_cap``.
+    """
+    generators = list(generators)
+    order = prefix.variables
+    own = [prefix.quantifier_of(v) == role for v in order]
+    rep: dict[Play, Play] = {}
+
+    def leaf(play: Play) -> Classes:
+        if play not in rep:
+            orbit = orbit_of_assignment(generators, dict(zip(order, play)))
+            images = [tuple(image[v] for v in order) for image in orbit]
+            rep.update(dict.fromkeys(images, min(images)))
+        return {frozenset((rep[play],)): (1, int(keeps(play)))}
+
+    def join(depth: int, low: Classes, high: Classes) -> Classes:
+        if own[depth]:
+            pairs = [*low.items(), *high.items()]
+        else:
+            pairs = [
+                (a | b, (na * nb, ka * kb))
+                for a, (na, ka) in low.items()
+                for b, (nb, kb) in high.items()
+            ]
+        out: Classes = {}
+        for key, (count, kept) in pairs:
+            n0, k0 = out.get(key, (0, 0))
+            out[key] = (n0 + count, k0 + kept)
+        return out
+
+    # plays in lexicographic order; a stack entry is a finished subtree and
+    # its depth, and two siblings on top join into their parent
+    stack: list[tuple[int, Classes]] = []
+    for play in itertools.product((False, True), repeat=len(order)):
+        depth, node = len(order), leaf(play)
+        while stack and stack[-1][0] == depth:
+            depth -= 1
+            node = join(depth, stack.pop()[1], node)
+        stack.append((depth, node))
+    return stack[0][1]

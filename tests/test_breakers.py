@@ -2,9 +2,11 @@
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 
+from qsymbreak import breakers
 from qsymbreak.breakers import (
     BreakerFormula,
     BreakerReport,
@@ -20,7 +22,12 @@ from qsymbreak.breakers import (
 )
 from qsymbreak.errors import ValidationError
 from qsymbreak.formulas import FALSE, TRUE, Iff, Not, Var, equivalent, evaluate
-from qsymbreak.groups import AdmissibleMap, SignedPermutation, is_syntactic_symmetry
+from qsymbreak.groups import (
+    AdmissibleMap,
+    SignedPermutation,
+    is_syntactic_symmetry,
+    orbit_of_assignment,
+)
 from qsymbreak.qdimacs import (
     EXISTS,
     FORALL,
@@ -30,7 +37,9 @@ from qsymbreak.qdimacs import (
     serialize_dnf,
 )
 from qsymbreak.strategies import (
+    count_strategies,
     enumerate_strategies,
+    orbit_classes,
     qbf_truth,
     semantic_orbits,
     strategy_value,
@@ -423,21 +432,30 @@ def test_existential_universal_duality():
     assert ok_seen and failed_seen
 
 
+def enumerated_report(prefix, gens, formula, pol):
+    """The report ``verify_breaker`` should give, built by enumerating
+    every strategy and evaluating ``formula`` on every path of each."""
+    target = pol == EXISTS
+    order = prefix.variables
+
+    def rep(sigma):
+        return min(tuple(image[v] for v in order) for image in orbit_of_assignment(gens, sigma))
+
+    orbits = semantic_orbits(prefix, gens, role=pol)
+    kept = [sum(strategy_value((prefix, formula), s) == target for s in orbit) for orbit in orbits]
+    uncovered = sorted(
+        tuple(sorted({rep(sigma) for sigma in orbit[0].paths}))
+        for orbit, k in zip(orbits, kept)
+        if not k
+    )
+    return BreakerReport(
+        not uncovered, pol, len(orbits), len(orbits) - len(uncovered), tuple(uncovered), sum(kept)
+    )
+
+
 def test_verify_breaker_matches_a_strategy_value_report():
     # verify_breaker reads psi once per play; the reference evaluates it
     # on every path of every strategy
-    def reference(prefix, gens, formula, pol):
-        role, target = pol, pol == EXISTS
-        orbits = semantic_orbits(prefix, gens, role=role)
-        uncovered = tuple(
-            k
-            for k, orbit in enumerate(orbits)
-            if not any(strategy_value((prefix, formula), s) == target for s in orbit)
-        )
-        return BreakerReport(
-            not uncovered, pol, len(orbits), len(orbits) - len(uncovered), uncovered
-        )
-
     rng = random.Random(58)
     seen = {(EXISTS, True): 0, (EXISTS, False): 0, (FORALL, True): 0, (FORALL, False): 0}
     for _ in range(160):
@@ -451,9 +469,41 @@ def test_verify_breaker_matches_a_strategy_value_report():
             make = lex_leader_formula if pol == EXISTS else universal_lex_leader_formula
             psi = make(prefix, gens)
         report = verify_breaker(prefix, gens, psi)
-        assert report == reference(prefix, gens, psi.formula, pol)
+        assert report == enumerated_report(prefix, gens, psi.formula, pol)
         seen[pol, report.ok] += 1
     assert all(count >= 10 for count in seen.values()), seen
+
+
+def test_orbit_classes_agree_with_enumeration_on_random_breakers():
+    # random formulas, not lex-leader breakers, so that orbits go uncovered
+    rng = random.Random(59)
+    uncovered_seen = {EXISTS: 0, FORALL: 0}
+    for _ in range(400):
+        prefix = oracles.random_prefix(rng, rng.randint(1, 4))
+        gens = [oracles.random_involution(rng, prefix) for _ in range(rng.randint(1, 2))]
+        pol = rng.choice((EXISTS, FORALL))
+        psi = BreakerFormula(pol, (oracles.random_formula(rng, list(prefix.variables)),), ())
+        report = verify_breaker(prefix, gens, psi)
+        assert report == enumerated_report(prefix, gens, psi.formula, pol)
+        # every class holds as many strategies as its enumerated orbit
+        classes = orbit_classes(prefix, gens, pol, lambda play: True)
+        sizes = sorted(len(orbit) for orbit in semantic_orbits(prefix, gens, role=pol))
+        assert sorted(n for n, k in classes.values()) == sizes
+        assert all(n == k for n, k in classes.values())
+        uncovered_seen[pol] += bool(report.uncovered)
+    assert all(count >= 50 for count in uncovered_seen.values()), uncovered_seen
+
+
+def test_verify_breaker_evaluates_psi_once_per_play():
+    # 4,096 existential strategies with 4 plays each, over only 32 plays
+    prefix = Prefix.from_pairs([(FORALL, [1, 2]), (EXISTS, [3, 4, 5])])
+    swap = SignedPermutation.from_dict({1: 2, 2: 1, 3: 4, 4: 3, 5: 5})
+    psi = lex_leader_formula(prefix, [swap])
+    with mock.patch.object(breakers, "evaluate", wraps=evaluate) as spy:
+        report = verify_breaker(prefix, [swap], psi)
+    assert report.ok
+    assert report.kept < count_strategies(prefix, EXISTS)
+    assert 0 < spy.call_count <= 2**prefix.n
 
 
 def test_breaker_formula_validates_polarity():

@@ -313,6 +313,9 @@ def test_verify_passes_with_json_report(tmp_path, capsys):
     # 4 existential orbits; the 2 universal strategies set only the
     # fixed variable, so they land in distinct singleton orbits
     assert [c["orbits"] for c in coverage] == [4, 2]
+    # of the 16 existential strategies, 4 to an orbit, the breaker keeps one
+    # per orbit; it keeps both universal ones
+    assert [c["kept"] for c in coverage] == [4, 2]
 
 
 def test_verify_clause_free_block(tmp_path, capsys):

@@ -1,10 +1,11 @@
 """The package surface the benchmark in ``perfbench/`` relies on.
 
-perfbench imports the package as ``qs`` and calls it by name; its own smoke
-test runs outside this suite, so a renamed or removed name would only show
-when the benchmark runs.  Its traced passes also replace three detection
-helpers on ``qsymbreak.detect``, which measures them only while
-``detect_symmetries`` looks those helpers up when it is called.
+perfbench imports the package as ``qs``, calls it by name and reads fields
+of the results; its own smoke test runs outside this suite, so a renamed
+or removed name or field would only show when the benchmark runs.  Its
+traced passes also replace three detection helpers on ``qsymbreak.detect``,
+which measures them only while ``detect_symmetries`` looks those helpers
+up when it is called.
 """
 
 import re
@@ -17,6 +18,15 @@ from qsymbreak.benchmarks import gen_kbkf
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACED_HELPERS = ("build_symmetry_graph", "find_automorphisms", "to_signed_permutations")
+# the pipeline variables that hold package results, as perfbench names them
+RESULT_READ = re.compile(r"\b(found|enc_[eu]|psi(?:_[eu])?|report)\.(\w+)")
+# the fields its counters and checks come from
+KNOWN_READS = {
+    "found.generators", "found.nodes_expanded", "found.complete",
+    "enc_e.clauses", "enc_e.aux_vars", "enc_u.cubes", "enc_u.aux_vars",
+    "psi.formula", "psi.polarity",
+    "report.orbit_count", "report.covered", "report.ok",
+}
 
 
 def _used_names() -> set[str]:
@@ -47,3 +57,40 @@ def test_detection_looks_up_its_helpers_at_call_time():
             p.stop()
     assert [spy.call_count for spy in spies] == [1, 1, 1]
     assert result.generators
+
+
+def test_perfbench_reads_fields_the_results_have():
+    text = (PERFBENCH / "pipelines.py").read_text(encoding="utf-8")
+    reads = {f"{name}.{field}" for name, field in RESULT_READ.findall(text)}
+    assert KNOWN_READS <= reads, "the pattern no longer finds what perfbench reads"
+
+    instance = gen_kbkf(1)
+    prefix = instance.prefix
+    found = qsymbreak.detect_symmetries(instance)
+    gens = list(found.generators)
+    enc_e = qsymbreak.encode_existential_cnf(prefix, gens)
+    enc_u = qsymbreak.encode_universal_dnf(
+        prefix, gens, start_var=max((*prefix.variables, *enc_e.aux_vars)) + 1
+    )
+    breakers = (
+        qsymbreak.lex_leader_formula(prefix, gens),
+        qsymbreak.universal_lex_leader_formula(prefix, gens),
+    )
+    results = {
+        "found": (found,),
+        "enc_e": (enc_e,),
+        "enc_u": (enc_u,),
+        "psi": breakers,
+        "psi_e": breakers[:1],
+        "psi_u": breakers[1:],
+        "report": tuple(qsymbreak.verify_breaker(prefix, gens, psi) for psi in breakers),
+    }
+    missing = sorted(
+        {
+            read
+            for read in reads
+            for result in results[read.split(".")[0]]
+            if not hasattr(result, read.split(".")[1])
+        }
+    )
+    assert not missing, f"perfbench reads {missing}, which the results lack"
