@@ -32,7 +32,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError
 from .formulas import (
     And,
     Formula,
@@ -48,13 +48,7 @@ from .formulas import (
 )
 from .groups import SignedPermutation, check_admissible
 from .qdimacs import EXISTS, FORALL, Prefix, QbfInstance, normalize_clause
-from .strategies import (
-    EXISTENTIAL,
-    UNIVERSAL,
-    ENUMERATION_CAP,
-    check_enumeration_cap,
-    orbit_classes,
-)
+from .strategies import ENUMERATION_CAP, check_enumeration_cap, orbit_classes
 
 # per augment mode: the polarities of the encodings it takes, and how to say so
 _MODE_ENCODINGS = {
@@ -329,6 +323,15 @@ def encode_universal_dnf(
     return _encode(prefix, generators, start_var, FORALL)
 
 
+def encode_both(prefix: Prefix, generators) -> tuple[EncodedBreaker, EncodedBreaker]:
+    """Encode both breakers, the universal chain numbered after the
+    existential one, so that ``augment_instance``'s ``combined`` mode can
+    put them on one prefix."""
+    enc_e = encode_existential_cnf(prefix, generators)
+    top = max((*prefix.variables, *enc_e.aux_vars), default=0)
+    return enc_e, encode_universal_dnf(prefix, generators, start_var=top + 1)
+
+
 def _merged_prefix(instance: QbfInstance, *encodings: EncodedBreaker) -> Prefix:
     """The instance prefix with the chain variables of every encoding
     inserted, each quantified by its encoding's polarity; for a single
@@ -426,21 +429,25 @@ def verify_breaker(
     plain formula, which is checked as an existential breaker.  The
     orbits come from ``orbit_classes``, which evaluates ``psi`` once per
     play; ``cap`` bounds the player's strategy count, as in
-    ``semantic_orbits``.
+    ``semantic_orbits``, and the plays.
     """
     if isinstance(psi, BreakerFormula):
         formula, pol = psi.formula, psi.polarity
     else:
         formula, pol = psi, EXISTS
-    role = EXISTENTIAL if pol == EXISTS else UNIVERSAL
     target = pol == EXISTS
-    check_enumeration_cap(prefix, role, cap)
+    # a polarity is the role it checks: EXISTENTIAL is EXISTS, UNIVERSAL FORALL
+    check_enumeration_cap(prefix, pol, cap)
+    # the opponent's variables add plays but no strategies: 2**n > cap
+    # exactly when n >= cap.bit_length()
+    if prefix.n >= cap.bit_length():
+        raise CapExceededError(f"2**{prefix.n} plays exceed enumeration cap {cap}")
     order = prefix.variables
 
     def keeps(play: tuple[bool, ...]) -> bool:
         return evaluate(formula, dict(zip(order, play))) == target
 
-    classes = orbit_classes(prefix, generators, role, keeps)
+    classes = orbit_classes(prefix, generators, pol, keeps)
     uncovered = tuple(sorted(tuple(sorted(c)) for c, (_, k) in classes.items() if not k))
     kept = sum(k for _, k in classes.values())
     covered = len(classes) - len(uncovered)

@@ -23,6 +23,7 @@ from .benchmarks import gen_kbkf, gen_random_qbf
 from .breakers import (
     augment_instance,
     augmented_formula,
+    encode_both,
     encode_existential_cnf,
     encode_universal_dnf,
     lex_leader_formula,
@@ -97,16 +98,6 @@ def _load_generators(args, instance: QbfInstance):
     return gens
 
 
-def _encode_both(prefix, gens):
-    """Both chain encodings, the universal chain numbered after the
-    existential one so that they can share one prefix."""
-    enc_e = encode_existential_cnf(prefix, gens)
-    enc_u = encode_universal_dnf(
-        prefix, gens, start_var=max((*prefix.variables, *enc_e.aux_vars), default=0) + 1
-    )
-    return enc_e, enc_u
-
-
 def _cmd_parse(args) -> int:
     _write_text(args.output, serialize_qdimacs(_read_instance(args.instance)))
     return EXIT_OK
@@ -137,37 +128,25 @@ def _cmd_break(args) -> int:
     _check_stream_conflict(args)
     instance = _read_instance(args.instance)
     gens = _load_generators(args, instance)
-
-    if args.exists:
-        encoded = encode_existential_cnf(instance.prefix, gens)
-        augmented, _ = augment_instance(instance, encoded, "conjoin-cnf")
-        _write_text(args.output, serialize_qdimacs(augmented))
-        return EXIT_OK
-
-    if args.forall:
-        encoded = encode_universal_dnf(instance.prefix, gens)
-        augmented, sidecar = augment_instance(instance, encoded, "attach-dnf")
-        assert sidecar is not None
-        if args.output is not None and args.dnf_out is not None:
-            _write_text(args.output, serialize_qdimacs(augmented))
-            _write_text(args.dnf_out, serialize_dnf(*sidecar))
-        else:
-            _write_text(args.dnf_out or args.output, serialize_dnf(*sidecar))
-        return EXIT_OK
-
-    # combined: the cube sidecar disjoins with the original matrix only,
-    # so the output records how many leading clauses that matrix has
-    if args.dnf_out is None:
+    mode, encode = args.polarity
+    if mode == "combined" and args.dnf_out is None:
         raise UsageError("break --both needs --dnf-out for the cube sidecar")
-    enc_e, enc_u = _encode_both(instance.prefix, gens)
-    augmented, sidecar = augment_instance(instance, (enc_e, enc_u), "combined")
-    assert sidecar is not None
-    augmented = dataclasses.replace(
-        augmented,
-        comments=(f"matrix clauses: {len(instance.clauses)}",) + augmented.comments,
-    )
-    _write_text(args.output, serialize_qdimacs(augmented))
-    _write_text(args.dnf_out, serialize_dnf(*sidecar))
+    augmented, sidecar = augment_instance(instance, encode(instance.prefix, gens), mode)
+    if mode == "combined":
+        # the cube sidecar disjoins with the original matrix only, so the
+        # output records how many leading clauses that matrix has
+        augmented = dataclasses.replace(
+            augmented,
+            comments=(f"matrix clauses: {len(instance.clauses)}",) + augmented.comments,
+        )
+    # --forall writes its CNF, the input with the chain variables
+    # quantified, only when -o and --dnf-out both name a file; a sidecar
+    # goes to --dnf-out, else -o, else stdout
+    if mode != "attach-dnf" or None not in (args.output, args.dnf_out):
+        _write_text(args.output, serialize_qdimacs(augmented))
+    if sidecar is not None:
+        dnf_out = args.output if args.dnf_out is None else args.dnf_out
+        _write_text(dnf_out, serialize_dnf(*sidecar))
     return EXIT_OK
 
 
@@ -184,7 +163,7 @@ def _cmd_verify(args) -> int:
 
     psi_e = lex_leader_formula(instance.prefix, gens)
     psi_u = universal_lex_leader_formula(instance.prefix, gens)
-    enc_e, enc_u = _encode_both(instance.prefix, gens)
+    enc_e, enc_u = encode_both(instance.prefix, gens)
 
     checks = [
         {
@@ -324,16 +303,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("break", help="emit a symmetry-broken instance")
     _add_instance_arg(p)
+    # each polarity flag names its augmentation mode and encoder
     polarity = p.add_mutually_exclusive_group(required=True)
-    polarity.add_argument(
-        "--exists", action="store_true", help="conjoin the existential CNF breaker"
-    )
-    polarity.add_argument(
-        "--forall", action="store_true", help="emit the universal DNF sidecar"
-    )
-    polarity.add_argument(
-        "--both", action="store_true", help="emit combined CNF and DNF outputs"
-    )
+    for flag, const, help_text in (
+        ("--exists", ("conjoin-cnf", encode_existential_cnf),
+         "conjoin the existential CNF breaker"),
+        ("--forall", ("attach-dnf", encode_universal_dnf),
+         "emit the universal DNF sidecar"),
+        ("--both", ("combined", encode_both), "emit combined CNF and DNF outputs"),
+    ):
+        polarity.add_argument(
+            flag, dest="polarity", action="store_const", const=const, help=help_text
+        )
     _add_output_arg(p)
     p.add_argument(
         "--dnf-out", metavar="FILE", help="where to write the DNF cube sidecar"

@@ -337,7 +337,7 @@ def orbit_classes(
     merge and their counts add; at the opponent's it answers both, so
     every pair of child classes joins and the counts multiply. Each play
     is visited once, so ``keeps`` runs once per play. The caller bounds
-    the work with ``check_enumeration_cap``.
+    the work: ``verify_breaker`` caps the strategy count and the plays.
     """
     generators = list(generators)
     order = prefix.variables

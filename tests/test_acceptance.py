@@ -18,8 +18,8 @@ from qsymbreak.breakers import (
     BreakerFormula,
     augment_instance,
     augmented_formula,
+    encode_both,
     encode_existential_cnf,
-    encode_universal_dnf,
     lex_leader_formula,
     universal_lex_leader_formula,
     verify_breaker,
@@ -121,12 +121,7 @@ def test_criterion_03_augmentation_preserves_truth(planted_corpus):
         assert qbf_truth((inst.prefix, Or((phi, psi_u)))) == base
         assert qbf_truth((inst.prefix, And((Or((phi, psi_u)), psi_e)))) == base
 
-        enc_e = encode_existential_cnf(inst.prefix, [g])
-        enc_u = encode_universal_dnf(
-            inst.prefix,
-            [g],
-            start_var=max((*inst.prefix.variables, *enc_e.aux_vars)) + 1,
-        )
+        enc_e, enc_u = encode_both(inst.prefix, [g])
         conjoined, _ = augment_instance(inst, enc_e, "conjoin-cnf")
         assert qbf_truth(conjoined) == base
         assert qbf_truth(augmented_formula(inst, universal=enc_u)) == base

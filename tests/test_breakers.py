@@ -13,6 +13,7 @@ from qsymbreak.breakers import (
     EncodedBreaker,
     augment_instance,
     augmented_formula,
+    encode_both,
     encode_existential_cnf,
     encode_universal_dnf,
     lex_leader_formula,
@@ -20,7 +21,9 @@ from qsymbreak.breakers import (
     universal_lex_leader_formula,
     verify_breaker,
 )
-from qsymbreak.errors import ValidationError
+from qsymbreak.benchmarks import gen_kbkf
+from qsymbreak.detect import detect_symmetries
+from qsymbreak.errors import CapExceededError, ValidationError
 from qsymbreak.formulas import FALSE, TRUE, Iff, Not, Var, equivalent, evaluate
 from qsymbreak.groups import (
     AdmissibleMap,
@@ -34,6 +37,7 @@ from qsymbreak.qdimacs import (
     Prefix,
     QbfInstance,
     parse_dnf,
+    parse_qdimacs,
     serialize_dnf,
 )
 from qsymbreak.strategies import (
@@ -303,6 +307,28 @@ def test_combined_augmentation_preserves_truth():
         )
 
 
+@pytest.mark.parametrize("text", ["p cnf 0 0\n", "p cnf 0 1\n0\n"])
+def test_encode_both_on_an_empty_prefix(text):
+    inst = parse_qdimacs(text)
+    enc_e, enc_u = encode_both(inst.prefix, [])
+    assert (enc_e.polarity, enc_u.polarity) == (EXISTS, FORALL)
+    assert enc_e.aux_vars == enc_u.aux_vars == ()
+    augmented, sidecar = augment_instance(inst, (enc_e, enc_u), "combined")
+    assert augmented == inst
+    assert sidecar == (inst.prefix, ())
+
+
+def test_encode_both_numbers_the_universal_chain_after_the_existential():
+    inst = gen_kbkf(2)
+    gens = detect_symmetries(inst).generators
+    enc_e, enc_u = encode_both(inst.prefix, gens)
+    assert enc_e == encode_existential_cnf(inst.prefix, gens)
+    assert enc_e.aux_vars and enc_u.aux_vars
+    assert min(enc_e.aux_vars) == inst.prefix.n + 1
+    assert min(enc_u.aux_vars) == max(enc_e.aux_vars) + 1
+    augment_instance(inst, (enc_e, enc_u), "combined")
+
+
 def test_augment_rejects_mismatches():
     enc = encode_existential_cnf(PREFIX_AEE, [SWAP])
     other = QbfInstance(
@@ -504,6 +530,23 @@ def test_verify_breaker_evaluates_psi_once_per_play():
     assert report.ok
     assert report.kept < count_strategies(prefix, EXISTS)
     assert 0 < spy.call_count <= 2**prefix.n
+
+
+def test_verify_breaker_bounds_the_plays():
+    # n universals give the existential player one strategy but 2**n plays
+    def universals(n):
+        return Prefix.from_pairs([(FORALL, list(range(1, n + 1)))])
+
+    with pytest.raises(CapExceededError, match=r"2\*\*21 plays exceed enumeration cap 1048576"):
+        verify_breaker(universals(21), [], TRUE)
+    assert verify_breaker(universals(4), [], TRUE, cap=16).ok
+    with pytest.raises(CapExceededError, match="plays"):
+        verify_breaker(universals(5), [], TRUE, cap=16)
+    swap = SignedPermutation.from_dict({v: v for v in range(3, 15)} | {1: 2, 2: 1})
+    report = verify_breaker(universals(14), [swap], Var(1))
+    assert (report.ok, report.orbit_count, report.covered, report.kept) == (False, 1, 0, 0)
+    # the plays with x1 = x2 are their own orbits, the others pair up
+    assert [len(c) for c in report.uncovered] == [2**13 + 2**12]
 
 
 def test_breaker_formula_validates_polarity():

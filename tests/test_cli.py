@@ -6,6 +6,7 @@ error, 3 cap exceeded, 10 verification failure.  Pipeline agreement
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -299,6 +300,86 @@ def test_break_with_product_length(tmp_path, capsys):
     assert after == plain == "TRUE\n"
 
 
+# where break sends its outputs: flags -> (exit code, and what stdout, -o and
+# --dnf-out receive: the augmented CNF, the cube sidecar, or nothing)
+BREAK_ROUTES = {
+    ("--exists",): (0, "cnf", None, None),
+    ("--exists", "-o"): (0, "", "cnf", None),
+    ("--exists", "--dnf-out"): (0, "cnf", None, None),
+    ("--forall",): (0, "dnf", None, None),
+    ("--forall", "-o"): (0, "", "dnf", None),
+    ("--forall", "--dnf-out"): (0, "", None, "dnf"),
+    ("--forall", "-o", "--dnf-out"): (0, "", "cnf", "dnf"),
+    ("--both", "--dnf-out"): (0, "cnf", None, "dnf"),
+    ("--both", "-o", "--dnf-out"): (0, "", "cnf", "dnf"),
+    ("--both",): (1, "", None, None),
+    ("--both", "-o"): (1, "", None, None),
+}
+
+# sha256 of every route's exit code, stdout and output files, recorded
+# before break's three polarities shared one body
+PINNED_BREAKS = {
+    "kbkf_2": "59712b2ba1486d751afbb64c8ff2fb9c97e921c122003a9ab0e72e6498789509",
+    "planted_3": "57cb494003696a60a4dd6be513fdba884eee4f4d7eb493a6e3a974f500afe4c9",
+    "static_group": "15d0e4ac371089c609aee53868d2c38254d808545eec2dc174e086c327a0d0fb",
+    "empty": "6faf8029295d960d7f98fee28ccb3201feabe11a6ef30bd87de5a42df59b0b11",
+}
+
+
+def _pinned_break_input(tmp_path, capsys, name):
+    if name == "kbkf_2":
+        run(capsys, "gen", "kbkf", "2", "-o", str(tmp_path / "in.qdimacs"))
+    elif name == "planted_3":
+        run(
+            capsys, "gen", "random", "--seed", "3", "-n", "5", "-m", "6",
+            "--planted", "-o", str(tmp_path / "in.qdimacs"),
+        )
+    elif name == "static_group":
+        write(tmp_path, "in.qdimacs", KLEIN)
+        return [str(tmp_path / "in.qdimacs"), "--generators",
+                write(tmp_path, "gens.txt", "(2 3)\n(-2)(-3)\n")]
+    else:
+        write(tmp_path, "in.qdimacs", "p cnf 0 0\n")
+    return [str(tmp_path / "in.qdimacs")]
+
+
+def _kind(text):
+    if text is None or text == "":
+        return text
+    return re.search(r"^p (cnf|dnf) ", text, re.MULTILINE).group(1)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BREAKS))
+def test_break_outputs_stay_pinned(tmp_path, capsys, name):
+    args = _pinned_break_input(tmp_path, capsys, name)
+    records = []
+    for flags, route in BREAK_ROUTES.items():
+        out_dir = tmp_path / "-".join(f.strip("-") for f in flags)
+        out_dir.mkdir()
+        paths = {"-o": out_dir / "out.cnf", "--dnf-out": out_dir / "out.dnf"}
+        argv = ["break", *args]
+        for flag in flags:
+            argv += [flag, str(paths[flag])] if flag in paths else [flag]
+        code, out, _ = run(capsys, *argv)
+        files = [p.read_text() if p.exists() else None for p in paths.values()]
+        assert (code, *map(_kind, (out, *files))) == route, flags
+        records.append((flags, code, out, *files))
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == PINNED_BREAKS[name]
+
+
+def test_break_both_reads_the_instance_before_asking_for_dnf_out(tmp_path, capsys):
+    path = write(tmp_path, "bad.qdimacs", "p cnf 3 1\ne 1 2\n")
+    code, _, err = run(capsys, "break", "--both", path)
+    assert code == 2
+    assert "input error" in err
+    gens = write(tmp_path, "gens.txt", "(1 9)\n")
+    code, _, err = run(capsys, "break", "--both", "--generators", gens,
+                       write(tmp_path, "unit.qdimacs", UNIT))
+    assert code == 2
+    assert "input error" in err
+
+
 def test_verify_passes_with_json_report(tmp_path, capsys):
     path = write(tmp_path, "klein.qdimacs", KLEIN)
     gens = write(tmp_path, "gens.txt", "(2 3)\n(-2)(-3)\n")
@@ -457,6 +538,8 @@ COMMANDS = (
     ["detect", "--budget", "200"],
     ["solve"],
     ["verify", "--cap", "64"],
+    ["break", "--exists"],
+    ["break", "--forall"],
     ["break", "--both", "--dnf-out", "{sidecar}"],
 )
 

@@ -5,7 +5,8 @@ of the results; its own smoke test runs outside this suite, so a renamed
 or removed name or field would only show when the benchmark runs.  Its
 traced passes also replace three detection helpers on ``qsymbreak.detect``,
 which measures them only while ``detect_symmetries`` looks those helpers
-up when it is called.
+up when it is called, read fields of what two of them return, and refine
+the recorded graphs again.
 """
 
 import re
@@ -27,6 +28,10 @@ KNOWN_READS = {
     "psi.formula", "psi.polarity",
     "report.orbit_count", "report.covered", "report.ok",
 }
+# what the traced pass's hooks read of the graph build_symmetry_graph
+# returns and of the search result find_automorphisms returns
+HOOK_READ = re.compile(r"\b(graph|found)\.(\w+)")
+KNOWN_HOOK_READS = {"graph.n_vertices", "graph.edges", "found.permutations"}
 
 
 def _used_names() -> set[str]:
@@ -68,10 +73,7 @@ def test_perfbench_reads_fields_the_results_have():
     prefix = instance.prefix
     found = qsymbreak.detect_symmetries(instance)
     gens = list(found.generators)
-    enc_e = qsymbreak.encode_existential_cnf(prefix, gens)
-    enc_u = qsymbreak.encode_universal_dnf(
-        prefix, gens, start_var=max((*prefix.variables, *enc_e.aux_vars)) + 1
-    )
+    enc_e, enc_u = qsymbreak.encode_both(prefix, gens)
     breakers = (
         qsymbreak.lex_leader_formula(prefix, gens),
         qsymbreak.universal_lex_leader_formula(prefix, gens),
@@ -94,3 +96,21 @@ def test_perfbench_reads_fields_the_results_have():
         }
     )
     assert not missing, f"perfbench reads {missing}, which the results lack"
+
+
+def test_traced_pass_reads_fields_the_detection_helpers_return():
+    text = (PERFBENCH / "run.py").read_text(encoding="utf-8")
+    reads = {f"{name}.{field}" for name, field in HOOK_READ.findall(text)}
+    assert KNOWN_HOOK_READS <= reads, "the pattern no longer finds what the hooks read"
+    assert "qs.refine_colors(graph)" in text
+
+    graph = detect.build_symmetry_graph(gen_kbkf(1))
+    found = detect.find_automorphisms(graph)
+    results = {"graph": graph, "found": found}
+    missing = sorted(
+        read for read in reads if not hasattr(results[read.split(".")[0]], read.split(".")[1])
+    )
+    assert not missing, f"perfbench's traced pass reads {missing}, which the results lack"
+    # the hooks count these
+    assert graph.n_vertices > 0 and len(graph.edges) > 0 and len(found.permutations) > 0
+    qsymbreak.refine_colors(graph)
