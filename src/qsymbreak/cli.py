@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 from .benchmarks import gen_kbkf, gen_random_qbf
@@ -131,6 +132,9 @@ def _cmd_break(args) -> int:
     mode, encode = args.polarity
     if mode == "combined" and args.dnf_out is None:
         raise UsageError("break --both needs --dnf-out for the cube sidecar")
+    files = [os.path.realpath(p) for p in (args.output, args.dnf_out) if p not in (None, "-")]
+    if mode != "conjoin-cnf" and len(files) == 2 and files[0] == files[1]:
+        raise UsageError("-o and --dnf-out name the same file")
     augmented, sidecar = augment_instance(instance, encode(instance.prefix, gens), mode)
     if mode == "combined":
         # the cube sidecar disjoins with the original matrix only, so the

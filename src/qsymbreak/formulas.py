@@ -4,6 +4,10 @@ Formulas are immutable dataclass trees over integer variable ids (1-based,
 matching DIMACS numbering). The folding constructors (neg, conj, disj,
 implies, iff, xor) perform constant propagation, so substituting a variable
 removes it from the tree syntactically, not just semantically.
+
+A clause list is one node, ``Cnf``, of signed DIMACS literals; a cube list
+is its negation over the negated literals (a DNF is a negated CNF), so
+term lists have one node kind, restricted and evaluated here alone.
 """
 
 from __future__ import annotations
@@ -63,6 +67,11 @@ class And(Formula):
 @dataclass(frozen=True, slots=True)
 class Or(Formula):
     children: tuple[Formula, ...]
+
+
+@dataclass(frozen=True, slots=True)
+class Cnf(Formula):
+    clauses: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,13 +174,17 @@ def literal(lit: int) -> Formula:
 
 
 def clauses_to_formula(clauses: Iterable[Iterable[int]]) -> Formula:
-    """CNF clause list (signed int literals) as a conjunction of disjunctions."""
-    return conj(disj(literal(l) for l in clause) for clause in clauses)
+    """CNF clause list (signed int literals) as one ``Cnf`` node, folded to
+    ``TRUE`` without clauses and to ``FALSE`` at an empty clause."""
+    terms = tuple(map(tuple, clauses))
+    if any(0 in clause for clause in terms):
+        raise ValueError("literal 0 is not a variable")
+    return substitute(Cnf(terms), {})
 
 
 def cubes_to_formula(cubes: Iterable[Iterable[int]]) -> Formula:
-    """DNF cube list (signed int literals) as a disjunction of conjunctions."""
-    return disj(conj(literal(l) for l in cube) for cube in cubes)
+    """DNF cube list (signed int literals): the negated CNF of negated cubes."""
+    return neg(clauses_to_formula(tuple(-l for l in cube) for cube in cubes))
 
 
 def evaluate(formula: Formula, assignment: Mapping[int, bool]) -> bool:
@@ -189,6 +202,11 @@ def evaluate(formula: Formula, assignment: Mapping[int, bool]) -> bool:
         return all(evaluate(c, assignment) for c in formula.children)
     if isinstance(formula, Or):
         return any(evaluate(c, assignment) for c in formula.children)
+    if isinstance(formula, Cnf):
+        try:
+            return all(any((l > 0) == assignment[abs(l)] for l in c) for c in formula.clauses)
+        except KeyError as exc:
+            raise MissingAssignmentError(exc.args[0]) from None
     if isinstance(formula, Implies):
         return (not evaluate(formula.left, assignment)) or evaluate(formula.right, assignment)
     if isinstance(formula, Iff):
@@ -218,6 +236,23 @@ def map_variables(formula: Formula, images: Mapping[int, Formula]) -> Formula:
         return conj(map_variables(c, images) for c in formula.children)
     if isinstance(formula, Or):
         return disj(map_variables(c, images) for c in formula.children)
+    if isinstance(formula, Cnf):
+        if not all(isinstance(image, Const) for image in images.values()):
+            return conj(disj(map_variables(literal(l), images) for l in c) for c in formula.clauses)
+        # constant images restrict clause by clause: satisfied clauses go,
+        # false literals are stripped, and an empty clause settles the value
+        true_lits = {v if image.value else -v for v, image in images.items()}
+        assigned = true_lits | {-l for l in true_lits}
+        out = []
+        for clause in formula.clauses:
+            if not assigned.isdisjoint(clause):
+                if not true_lits.isdisjoint(clause):
+                    continue
+                clause = tuple(l for l in clause if -l not in true_lits)
+            if not clause:
+                return FALSE
+            out.append(clause)
+        return Cnf(tuple(out)) if out else TRUE
     if isinstance(formula, Implies):
         return implies(map_variables(formula.left, images), map_variables(formula.right, images))
     if isinstance(formula, Iff):
@@ -239,6 +274,8 @@ def variables(formula: Formula) -> frozenset[int]:
             stack.append(node.child)
         elif isinstance(node, (And, Or)):
             stack.extend(node.children)
+        elif isinstance(node, Cnf):
+            out.update(abs(l) for clause in node.clauses for l in clause)
         elif isinstance(node, (Implies, Iff, Xor)):
             stack.append(node.left)
             stack.append(node.right)

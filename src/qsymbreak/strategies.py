@@ -13,9 +13,10 @@ exactly the label vectors, which makes equality, hashing and enumeration
 cheap.
 
 The truth oracle is one memoized recursion over the prefix: it splits the
-next variable and short-circuits on its quantifier. A clause matrix is
-restricted clause by clause and a formula matrix by substitution; both
-restrictions report a matrix whose value is settled as a bool.
+next variable and short-circuits on its quantifier. Every matrix is a
+``Formula``, an instance's clause list included, so one restriction,
+``substitute``, and one evaluator, ``evaluate``, serve every target; a
+matrix is settled once it folds to a constant.
 
 The module also computes semantic orbits: the partition of one player's
 strategies induced by a syntactic symmetry group acting path-wise, with
@@ -32,7 +33,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import CapExceededError, ValidationError
@@ -47,7 +48,6 @@ ENUMERATION_CAP = 2**20
 TRUTH_VAR_CAP = 24
 
 History = tuple[bool, ...]
-Clauses = tuple[tuple[int, ...], ...]
 
 
 def _slots(prefix: Prefix, role: str) -> tuple[tuple[int, int], ...]:
@@ -174,20 +174,10 @@ def random_strategy(prefix: Prefix, role: str, rng: random.Random) -> Strategy:
     return Strategy(prefix, role, labels)
 
 
-def _split_target(
-    target: QbfInstance | tuple[Prefix, Formula],
-) -> tuple[Prefix, Clauses | Formula]:
+def _split_target(target: QbfInstance | tuple[Prefix, Formula]) -> tuple[Prefix, Formula]:
     if isinstance(target, QbfInstance):
-        return target.prefix, tuple(target.clauses)
-    prefix, formula = target
-    return prefix, formula
-
-
-def _holds(matrix: Clauses | Formula, sigma: Mapping[int, bool]) -> bool:
-    """Value of a clause or formula matrix under a total assignment."""
-    if isinstance(matrix, Formula):
-        return evaluate(matrix, sigma)
-    return all(any((l > 0) == sigma[abs(l)] for l in clause) for clause in matrix)
+        return target.prefix, target.to_formula()
+    return target
 
 
 def strategy_value(target: QbfInstance | tuple[Prefix, Formula], s: Strategy) -> bool:
@@ -195,30 +185,8 @@ def strategy_value(target: QbfInstance | tuple[Prefix, Formula], s: Strategy) ->
     prefix, matrix = _split_target(target)
     if s.prefix != prefix:
         raise ValidationError("strategy was built for a different prefix")
-    values = (_holds(matrix, sigma) for sigma in s.paths)
+    values = (evaluate(matrix, sigma) for sigma in s.paths)
     return all(values) if s.role == EXISTENTIAL else any(values)
-
-
-def _restrict_clauses(clauses: Clauses, var: int, value: bool) -> Clauses | bool:
-    """Drop the clauses the assignment satisfies and strip its false literal
-    from the rest; a bool once the value is settled."""
-    true_lit = var if value else -var
-    out = []
-    for clause in clauses:
-        if true_lit in clause:
-            continue
-        if -true_lit in clause:
-            clause = tuple(l for l in clause if l != -true_lit)
-            if not clause:
-                return False
-        out.append(clause)
-    return tuple(out) if out else True
-
-
-def _restrict_formula(formula: Formula, var: int, value: bool) -> Formula | bool:
-    """Substitute the assignment; a bool once the formula folds to a constant."""
-    out = substitute(formula, {var: value})
-    return out.value if isinstance(out, Const) else out
 
 
 def qbf_truth(target: QbfInstance | tuple[Prefix, Formula], cap: int = TRUTH_VAR_CAP) -> bool:
@@ -228,31 +196,19 @@ def qbf_truth(target: QbfInstance | tuple[Prefix, Formula], cap: int = TRUTH_VAR
         raise CapExceededError(f"{prefix.n} variables exceed truth cap {cap}")
     order = prefix.variables
     universal = tuple(prefix.quantifier_of(v) == FORALL for v in order)
-    if isinstance(matrix, Formula):
-        restrict = _restrict_formula
-        # fold once: raw constructors may leave constants an empty prefix never restricts
-        start = substitute(matrix, {})
-        start = start.value if isinstance(start, Const) else start
-    else:
-        restrict = _restrict_clauses
-        # no clauses is true, an empty clause is false
-        start = matrix if matrix and () not in matrix else not matrix
-    memo: dict[tuple[int, Clauses | Formula], bool] = {}
 
-    def rec(idx: int, current) -> bool:
-        if isinstance(current, bool):
-            return current
+    @cache
+    def rec(idx: int, current: Formula) -> bool:
+        if isinstance(current, Const):
+            return current.value
         if idx == len(order):
             raise ValidationError("formula mentions variables outside the prefix")
-        key = (idx, current)
-        if key in memo:
-            return memo[key]
         v = order[idx]
-        branches = (rec(idx + 1, restrict(current, v, value)) for value in (False, True))
-        result = memo[key] = all(branches) if universal[idx] else any(branches)
-        return result
+        branches = (rec(idx + 1, substitute(current, {v: value})) for value in (False, True))
+        return all(branches) if universal[idx] else any(branches)
 
-    return rec(0, start)
+    # fold once: raw constructors may leave constants an empty prefix never restricts
+    return rec(0, substitute(matrix, {}))
 
 
 def common_path(s: Strategy, t: Strategy) -> dict[int, bool]:

@@ -380,6 +380,22 @@ def test_break_both_reads_the_instance_before_asking_for_dnf_out(tmp_path, capsy
     assert "input error" in err
 
 
+@pytest.mark.parametrize("flag", ["--forall", "--both"])
+def test_break_refuses_one_file_for_both_outputs(tmp_path, capsys, flag):
+    path = write(tmp_path, "fp.qdimacs", FORALL_PAIR)
+    gens = write(tmp_path, "gens.txt", "(2 3)\n")
+    same = tmp_path / "same.out"
+    code, out, err = run(capsys, "break", flag, "--generators", gens, path,
+                         "-o", str(same), "--dnf-out", str(tmp_path / "." / "same.out"))
+    assert (code, out) == (1, "")
+    assert "usage error" in err
+    assert not same.exists()
+    # both on stdout is not one file
+    code, out, _ = run(capsys, "break", flag, "--generators", gens, path,
+                       "-o", "-", "--dnf-out", "-")
+    assert code == 0 and "p dnf" in out
+
+
 def test_verify_passes_with_json_report(tmp_path, capsys):
     path = write(tmp_path, "klein.qdimacs", KLEIN)
     gens = write(tmp_path, "gens.txt", "(2 3)\n(-2)(-3)\n")

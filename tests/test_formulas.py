@@ -11,18 +11,26 @@ from qsymbreak.formulas import (
     FALSE,
     TRUE,
     And,
+    Cnf,
     Iff,
     Not,
     Or,
     Var,
     Xor,
     all_assignments,
+    clauses_to_formula,
+    conj,
+    cubes_to_formula,
+    disj,
     equivalent,
     evaluate,
+    literal,
     map_variables,
     substitute,
     variables,
 )
+from qsymbreak.qdimacs import QbfInstance
+from qsymbreak.strategies import qbf_truth
 
 import oracles
 
@@ -46,6 +54,8 @@ def test_evaluate_falsified_conjunct():
 def test_evaluate_missing_variable_raises():
     with pytest.raises(MissingAssignmentError):
         evaluate(And((x, y)), {1: True})
+    with pytest.raises(MissingAssignmentError, match="variable 2"):
+        evaluate(clauses_to_formula([(1, -2)]), {1: False})
 
 
 def test_substitute_iff_collapses_to_other_side():
@@ -83,15 +93,77 @@ def test_equivalent_xor_twist_preserves_matrix():
 
 
 def test_equivalent_variable_cap():
+    # the pair differs on the first row, so passing the cap costs one row
     wide = Or(tuple(Var(i) for i in range(1, 22)))
     with pytest.raises(CapExceededError):
-        equivalent(wide, wide)
-    assert equivalent(wide, wide, cap=21)
+        equivalent(wide, Not(wide))
+    assert equivalent(wide, Not(wide), cap=21) is False
 
 
 def test_equivalent_rejects_uncovered_vars():
     with pytest.raises(ValueError):
         equivalent(And((x, y)), x, vars=[1])
+
+
+def _random_terms(rng, n):
+    """Random term list over 1..n, with empty, unit and tautological terms."""
+    terms = []
+    for _ in range(rng.randint(0, 5)):
+        roll = rng.random()
+        if roll < 0.1:
+            terms.append(())
+        elif roll < 0.25:
+            v = rng.randint(1, n)
+            terms.append((v, -v, rng.choice((1, -1)) * rng.randint(1, n)))
+        else:
+            width = 1 if roll < 0.4 else rng.randint(2, 3)
+            terms.append(tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(width)))
+    return terms
+
+
+def test_term_lists_agree_with_literal_trees():
+    rng = random.Random(4242)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        prefix = oracles.random_prefix(rng, n)
+        ids = list(prefix.variables)
+        clauses, cubes = _random_terms(rng, n), _random_terms(rng, n)
+        cnf, dnf = clauses_to_formula(clauses), cubes_to_formula(cubes)
+        cases = (
+            (cnf, conj(disj(literal(l) for l in c) for c in clauses)),
+            (dnf, disj(conj(literal(l) for l in c) for c in cubes)),
+        )
+        g = oracles.random_signed_perm(rng, prefix)
+        for node, tree in cases:
+            assert variables(node) == variables(tree)
+            total = oracles.random_assignment(rng, ids)
+            assert evaluate(node, total) == evaluate(tree, total)
+            partial = {v: total[v] for v in ids if rng.random() < 0.5}
+            reduced = substitute(node, partial)
+            assert variables(reduced).isdisjoint(partial)
+            rest = {v: total[v] for v in ids if v not in partial}
+            assert evaluate(reduced, rest) == evaluate(tree, total)
+            assert qbf_truth((prefix, node)) == qbf_truth((prefix, tree))
+            # non-constant images expand the clauses into literal trees
+            assert equivalent(g.apply_to_formula(node), g.apply_to_formula(tree), vars=ids)
+        assert qbf_truth((prefix, cnf)) == oracles.brute_qbf_truth(QbfInstance(prefix, clauses))
+        # a DNF is a negated CNF of negated cubes under the flipped prefix
+        negated = tuple(tuple(-l for l in cube) for cube in cubes)
+        assert qbf_truth((prefix, dnf)) != oracles.brute_qbf_truth(
+            QbfInstance(prefix.flipped(), negated)
+        )
+
+
+def test_term_lists_reject_literal_zero():
+    for build in (clauses_to_formula, cubes_to_formula):
+        with pytest.raises(ValueError, match="literal 0"):
+            build([(2,), (-1, 0)])
+
+
+def test_raw_clause_nodes_fold_under_substitution():
+    assert substitute(Cnf(()), {}) == TRUE
+    assert substitute(Cnf(((1,), ())), {}) == FALSE
+    assert substitute(Cnf(((1, -2), (2, 3))), {2: True}) == Cnf(((1,),))
 
 
 def test_substitute_then_evaluate_bulk():
@@ -136,21 +208,24 @@ def test_de_morgan_table():
 
 
 @st.composite
-def formula_strategy(draw, max_var=6):
-    node = draw(st.integers(0, 6))
+def formula_strategy(draw, max_var=6, depth=4):
+    # only leaf kinds at depth 0, so no draw is deeper than `depth`
+    node = draw(st.integers(0, 7 if depth else 2))
     if node == 0:
         return Var(draw(st.integers(1, max_var)))
     if node == 1:
         return TRUE if draw(st.booleans()) else FALSE
     if node == 2:
-        return Not(draw(formula_strategy(max_var=max_var)))
-    if node in (3, 4):
-        width = draw(st.integers(2, 3))
-        kids = tuple(draw(formula_strategy(max_var=max_var)) for _ in range(width))
-        return And(kids) if node == 3 else Or(kids)
-    a = draw(formula_strategy(max_var=max_var))
-    b = draw(formula_strategy(max_var=max_var))
-    return (Iff, Xor)[node - 5](a, b)
+        lits = st.sampled_from([l for l in range(-max_var, max_var + 1) if l])
+        clauses = draw(st.lists(st.lists(lits, max_size=3), max_size=3))
+        return Cnf(tuple(map(tuple, clauses)))
+    child = formula_strategy(max_var=max_var, depth=depth - 1)
+    if node == 3:
+        return Not(draw(child))
+    if node in (4, 5):
+        kids = tuple(draw(child) for _ in range(draw(st.integers(2, 3))))
+        return And(kids) if node == 4 else Or(kids)
+    return (Iff, Xor)[node - 6](draw(child), draw(child))
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,6 +9,7 @@ up when it is called, read fields of what two of them return, and refine
 the recorded graphs again.
 """
 
+import ast
 import re
 from pathlib import Path
 from unittest import mock
@@ -16,6 +17,7 @@ from unittest import mock
 import qsymbreak
 from qsymbreak import detect
 from qsymbreak.benchmarks import gen_kbkf
+from qsymbreak.cli import build_parser
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACED_HELPERS = ("build_symmetry_graph", "find_automorphisms", "to_signed_permutations")
@@ -114,3 +116,15 @@ def test_traced_pass_reads_fields_the_detection_helpers_return():
     # the hooks count these
     assert graph.n_vertices > 0 and len(graph.edges) > 0 and len(found.permutations) > 0
     qsymbreak.refine_colors(graph)
+
+
+def test_verify_cap_matches_the_benchmark():
+    # perfbench passes its own copy of the verify --cap default to the library
+    tree = ast.parse((PERFBENCH / "pipelines.py").read_text(encoding="utf-8"))
+    caps = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "VERIFY_CAP" for t in node.targets)
+    ]
+    assert caps == [build_parser().parse_args(["verify", "-"]).cap]

@@ -183,8 +183,7 @@ def test_truth_cap():
 
 
 def test_truth_matches_unpruned_oracle():
-    # the clause matrix and the same matrix as a formula take the two
-    # restrictions of the one recursion
+    # an instance and its (prefix, formula) pair are one target
     rng = random.Random(512)
     for _ in range(150):
         inst = oracles.random_instance(rng, rng.randint(1, 6), rng.randint(0, 8))
