@@ -28,7 +28,7 @@ built for the flipped prefix with every clause negated into a cube.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,9 +46,9 @@ from .formulas import (
     implies,
     literal,
 )
-from .groups import SignedPermutation, check_admissible
+from .groups import CLOSURE_CAP, SignedPermutation, check_admissible
 from .qdimacs import EXISTS, FORALL, Prefix, QbfInstance, normalize_clause
-from .strategies import ENUMERATION_CAP, check_enumeration_cap, orbit_classes
+from .strategies import ENUMERATION_CAP, cap_bits, check_enumeration_cap, orbit_classes
 
 # per augment mode: the polarities of the encodings it takes, and how to say so
 _MODE_ENCODINGS = {
@@ -83,26 +83,28 @@ def select_group_elements(
     With ``product_length=1`` (the default) these are the given
     generators themselves, deduplicated and with identities dropped.
     Larger values add all distinct products of up to that many
-    generators, in breadth-first word order.
+    generators, in breadth-first word order; more than ``CLOSURE_CAP``
+    distinct elements raise ``CapExceededError``.
     """
     if product_length < 1:
         raise ValidationError("product_length must be at least 1")
     gens = tuple(dict.fromkeys(generators))
     if len({g.domain for g in gens}) > 1:
         raise ValidationError("generators act on different variable sets")
-    collected: list[SignedPermutation] = []
-    seen: set[SignedPermutation] = set()
-    queue = deque((g, 1) for g in gens)
-    while queue:
-        word, length = queue.popleft()
-        if word in seen:
-            continue
-        seen.add(word)
-        if not word.is_identity:
-            collected.append(word)
-        if length < product_length:
-            queue.extend((word.compose(g), length + 1) for g in gens)
-    return tuple(collected)
+    words = dict.fromkeys(gens)  # every distinct element, in breadth-first order
+    level, length = gens, 1
+    while level and length < product_length:
+        fresh = []
+        for word in level:
+            for g in gens:
+                prod = word.compose(g)
+                if prod not in words:
+                    if len(words) >= CLOSURE_CAP:
+                        raise CapExceededError(f"product closure exceeds cap {CLOSURE_CAP}")
+                    words[prod] = None
+                    fresh.append(prod)
+        level, length = fresh, length + 1
+    return tuple(w for w in words if not w.is_identity)
 
 
 @dataclass(frozen=True)
@@ -240,10 +242,9 @@ def _chain_for_generator(
             if clause is not None:
                 clauses.append(clause)
 
-    slots = [(aux[0], -1)]
-    for rank in range(1, last + 1):
-        slots.append((aux[rank], prefix.block_index_of(positions[rank - 1])))
-    return clauses, slots
+    # y_rank is quantified after the block of the position before it
+    slots = [(y, prefix.block_index_of(v)) for y, v in zip(aux[1:], positions)]
+    return clauses, [(aux[0], -1), *slots]
 
 
 def _extended_prefix(prefix: Prefix, slot_items) -> Prefix:
@@ -386,7 +387,7 @@ def augmented_formula(
     Produces ``((phi | cubes) & clauses)`` over the extended prefix, for
     feeding the brute-force truth oracle; either encoding may be absent.
     """
-    phi: Formula = clauses_to_formula(instance.clauses)
+    phi = instance.to_formula()
     if universal is not None:
         phi = Or((phi, cubes_to_formula(universal.cubes)))
     if existential is not None:
@@ -438,9 +439,8 @@ def verify_breaker(
     target = pol == EXISTS
     # a polarity is the role it checks: EXISTENTIAL is EXISTS, UNIVERSAL FORALL
     check_enumeration_cap(prefix, pol, cap)
-    # the opponent's variables add plays but no strategies: 2**n > cap
-    # exactly when n >= cap.bit_length()
-    if prefix.n >= cap.bit_length():
+    # the opponent's variables add plays but no strategies
+    if prefix.n >= cap_bits(cap):
         raise CapExceededError(f"2**{prefix.n} plays exceed enumeration cap {cap}")
     order = prefix.variables
 

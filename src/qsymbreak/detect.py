@@ -12,12 +12,15 @@ only by negation edges, so every automorphism keeps each variable's
 literal pair together, and distinct clauses have distinct literal sets,
 so the variables' images fix the clause vertices' images.
 
-Color refinement runs in synchronous rounds.  Internally a color is the
-start of its cell in color order: a cell splits in place, only its later
-fragments change color, and the next round examines only the cells next
-to those, since no other signature moved.  A search node refines a stable
-coloring, so its first round only splits the individualized vertex's
-neighbors off their cells.
+Color refinement runs in synchronous rounds.  Internally a color is a
+cell label, increasing in color order with room for the cell's members: a
+cell splits in place, only its later fragments change label, and the next
+round examines only the cells next to those, since no other signature
+moved.  A search node is the refiner's own state, each vertex's label and
+each label's members.  Individualizing a vertex is refinement from a new
+singleton cell: the vertex moves to a label above every label in use, and
+the rounds start at the cells of its neighbors, the only signatures that
+changed.
 
 The search returns a generating set of the automorphism group, not the
 group itself: one first path of individualization and refinement, then,
@@ -32,7 +35,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, permutations, product
+from itertools import accumulate, chain, groupby, permutations, product
 from math import factorial
 
 from .errors import CapExceededError, ValidationError
@@ -115,12 +118,22 @@ def refine_colors(
     Refining an already stable coloring returns it unchanged.  The rounds
     of the module docstring give the ids of full passes to the fixpoint.
     """
-    current = tuple(graph.colors if colors is None else colors)
+    return _ids(_refined(graph, colors)[0])
+
+
+def _refined(graph: ColoredGraph, colors=None) -> tuple[list[int], dict[int, list[int]]]:
+    """``refine_colors`` as a search node: each vertex's label, the start of
+    its cell in color order, and each label's members in vertex order."""
+    current = _ids(tuple(graph.colors if colors is None else colors))
     if len(current) != graph.n_vertices:
         raise ValidationError("coloring must assign a color to every vertex")
-    labels, cells = _cells(_ids(current))
+    members: list[list[int]] = [[] for _ in range(max(current, default=-1) + 1)]
+    for v, c in enumerate(current):
+        members[c].append(v)
+    starts = list(accumulate(map(len, members), initial=0))
+    labels, cells = list(map(starts.__getitem__, current)), dict(zip(starts, members))
     _refine_rounds(graph.adjacency, labels, cells, list(cells))
-    return _ids(labels)
+    return labels, cells
 
 
 def _ids(colors) -> tuple[int, ...]:
@@ -129,19 +142,11 @@ def _ids(colors) -> tuple[int, ...]:
     return tuple(map(rank.__getitem__, colors))
 
 
-def _cells(coloring: tuple[int, ...]) -> tuple[list[int], dict[int, list[int]]]:
-    """Each vertex's cell start and each start's members, for ids 0..k-1."""
-    members: list[list[int]] = [[] for _ in range(max(coloring, default=-1) + 1)]
-    for v, c in enumerate(coloring):
-        members[c].append(v)
-    starts = list(accumulate(map(len, members), initial=0))
-    return list(map(starts.__getitem__, coloring)), dict(zip(starts, members))
-
-
 def _refine_rounds(adj, labels: list[int], cells: dict[int, list[int]], touched) -> None:
     """Refine in place from the cells labeled in ``touched``.  A cell
-    labeled ``s`` owns the labels from ``s`` to ``s + size - 1``; its fragments,
-    in order of sorted neighbor labels, start where the ones before end."""
+    labeled ``s`` owns at least the labels from ``s`` to ``s + size - 1``; its
+    fragments, in order of sorted neighbor labels, start where the ones
+    before end.  Member lists are replaced, never changed."""
     while touched:
         splits = []
         for s in touched:
@@ -166,29 +171,15 @@ def _refine_rounds(adj, labels: list[int], cells: dict[int, list[int]], touched)
         touched = {labels[u] for v in changed for u in adj[v]}
 
 
-def _individualize(adj, coloring: tuple[int, ...], v: int) -> tuple[int, ...]:
-    """``refine_colors`` of a stable coloring with ``v`` moved to a new
-    cell after all others (given the maximum color plus one).  Only ``v``
-    changed, so the first round splits only the cells of its neighbors:
-    their signature trades ``v``'s label for the top one and sorts last.
-    """
-    labels, cells = _cells(coloring)
-    top = len(labels)
-    cells[labels[v]].remove(v)
+def _individualize(adj, node, v: int, top: int) -> tuple[list[int], dict[int, list[int]]]:
+    """The search node of a stable ``node`` with ``v`` moved to a new cell
+    labeled ``top``, above every label in use, refined from the cells of
+    ``v``'s neighbors.  The parent's lists are left as they were."""
+    labels, cells = node[0].copy(), node[1].copy()
+    cells[labels[v]] = [u for u in cells[labels[v]] if u != v]
     labels[v], cells[top] = top, [v]
-    nbrs, by_cell = set(adj[v]), {}
-    for u in adj[v]:
-        by_cell.setdefault(labels[u], []).append(u)
-    changed: list[int] = []
-    for s, moved in by_cell.items():
-        if rest := [u for u in cells[s] if u not in nbrs]:
-            start = s + len(rest)
-            cells[s], cells[start] = rest, moved
-            for u in moved:
-                labels[u] = start
-            changed += moved
-    _refine_rounds(adj, labels, cells, {labels[u] for w in changed for u in adj[w]})
-    return _ids(labels)
+    _refine_rounds(adj, labels, cells, {labels[u] for u in adj[v]})
+    return labels, cells
 
 
 @dataclass(frozen=True)
@@ -213,13 +204,10 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _target_cell(coloring: tuple[int, ...]) -> list[int] | None:
-    """The non-singleton cell of the smallest color, or None at a leaf."""
-    counts = Counter(coloring)
-    target = min((c for c, k in counts.items() if k > 1), default=None)
-    if target is None:
-        return None
-    return [v for v, c in enumerate(coloring) if c == target]
+def _target_cell(cells: dict[int, list[int]]) -> list[int] | None:
+    """The non-singleton cell of the smallest label, or None at a leaf."""
+    target = min((s for s, members in cells.items() if len(members) > 1), default=None)
+    return None if target is None else cells[target]
 
 
 def find_automorphisms(
@@ -248,32 +236,32 @@ def find_automorphisms(
     n = graph.n_vertices
     adj = graph.adjacency
     colors0 = graph.colors
-    vertices = list(range(n))  # one set of int objects for every stored order
     nodes = 0
 
-    def individualize(coloring: tuple[int, ...], v: int) -> tuple[int, ...]:
+    def individualize(node, v: int, depth: int):
+        # the top label depends on the depth alone, so a node below a
+        # first-path node with its cell sizes has its labels too
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise _BudgetExhausted
-        return _individualize(adj, coloring, v)
+        return _individualize(adj, node, v, n + depth)
 
-    def by_color(coloring: tuple[int, ...]) -> list[int]:
-        return sorted(vertices, key=coloring.__getitem__)
+    def by_color(cells: dict[int, list[int]]) -> list[int]:
+        return list(chain.from_iterable(map(cells.__getitem__, sorted(cells))))
 
     def is_automorphism(perm: list[int]) -> bool:
         # a fixed vertex whose neighbors are fixed keeps its row
-        moved = [v for v in vertices if perm[v] != v]
+        moved = [v for v in range(n) if perm[v] != v]
         return all(
             colors0[perm[v]] == colors0[v]
             and tuple(sorted(perm[u] for u in adj[v])) == adj[perm[v]]
             for v in set(moved).union(*(adj[v] for v in moved))
         )
 
-    # first path colorings; automorphic images of a first-path node have
-    # its cell sizes
-    path = [refine_colors(graph)]
-    path_order: list[list[int]] = []  # the vertices of path[d + 1] by color
+    # first path nodes, as labels and vertices by color; automorphic images
+    # of a first-path node have its cell labels
+    path: list[tuple[list[int], list[int]]] = []
     found: list[tuple[int, ...]] = []
     orbit_of = list(range(n))  # union-find over the generators found
 
@@ -283,52 +271,57 @@ def find_automorphisms(
             v = orbit_of[v]
         return v
 
-    def match(level: int, w: int) -> tuple[int, ...] | None:
+    def match(level: int, node, w: int) -> tuple[int, ...] | None:
         """An automorphism that maps the first path into the subtree of
         ``w`` at ``level``, by depth-first search with an explicit stack.
-        Individualized vertices keep the top colors in individualization
+        Individualized vertices keep the top labels in individualization
         order, so every candidate fixes ``v_0..v_{level-1}`` and maps
         ``v_level`` to ``w``."""
-        stack = [(level, iter((w,)), path[level])]
+        stack = [(level, iter((w,)), node)]
         while stack:
-            depth, pending, coloring = stack[-1]
+            depth, pending, parent = stack[-1]
             v = next(pending, None)
             if v is None:
                 stack.pop()
                 continue
-            child = individualize(coloring, v)
-            if sorted(child) != sorted(path[depth + 1]):
+            child = individualize(parent, v, depth)
+            labels, order = path[depth + 1]
+            if child[1].keys() != set(labels):
                 continue
             perm = [0] * n
-            for u, x in zip(path_order[depth], by_color(child)):
+            for u, x in zip(order, by_color(child[1])):
                 perm[u] = x
             if is_automorphism(perm):
                 return tuple(perm)
-            cell = _target_cell(child)
+            cell = _target_cell(child[1])
             if cell is not None:
                 stack.append((depth + 1, iter(cell), child))
         return None
 
     group_order = 1
+    node = _refined(graph)
     try:
-        while (cell := _target_cell(path[-1])) is not None:
-            path.append(individualize(path[-1], cell[0]))
-            path_order.append(by_color(path[-1]))
-        for level in reversed(range(len(path_order))):
-            base, *rest = cell = _target_cell(path[level])
+        while (cell := _target_cell(node[1])) is not None:
+            path.append((node[0], by_color(node[1])))
+            node = individualize(node, cell[0], len(path) - 1)
+        path.append((node[0], by_color(node[1])))
+        for level in reversed(range(len(path) - 1)):
+            labels, order = path[level]
+            node = labels, {s: list(c) for s, c in groupby(order, labels.__getitem__)}
+            base, *rest = cell = _target_cell(node[1])
             refuted: list[int] = []
             blocked = {find(base)}  # the roots of base and the refuted; merges move them
             for w in rest:
                 root = find(w)
                 if root in blocked:
                     continue
-                perm = match(level, w)
+                perm = match(level, node, w)
                 if perm is None:
                     refuted.append(w)
                     blocked.add(root)
                     continue
                 found.append(perm)
-                for v in [v for v in vertices if perm[v] != v]:
+                for v in [v for v in range(n) if perm[v] != v]:
                     a, b = find(v), find(perm[v])
                     if a != b:
                         orbit_of[a] = b

@@ -146,8 +146,12 @@ class QbfInstance:
         """Quantified variables that never occur in the matrix."""
         return tuple(v for v in self.prefix.variables if v not in self.matrix_vars)
 
-    def to_formula(self) -> Formula:
+    @cached_property
+    def _formula(self) -> Formula:
         return clauses_to_formula(self.clauses)
+
+    def to_formula(self) -> Formula:
+        return self._formula
 
 
 def _read_text(source: str | bytes | IO) -> str:

@@ -139,23 +139,25 @@ def count_strategies(prefix: Prefix, role: str) -> int:
     return 2 ** _label_count(prefix, role)
 
 
+def cap_bits(cap: int) -> int:
+    """The least k with 2**k > cap: 2**bits > cap exactly when bits >= cap_bits(cap)."""
+    return max(cap, 0).bit_length()
+
+
 def check_enumeration_cap(prefix: Prefix, role: str, cap: int) -> None:
     """Raise CapExceededError when the role has more than ``cap`` strategies.
 
-    Works on the exponent and never builds a large count: 2**bits > cap
-    exactly when bits >= cap.bit_length(). A slot with that many opponents
-    before it exceeds the cap alone, so each term is clamped there and the
-    sum stays small however long the prefix is.
+    Works on the exponent (``cap_bits``) and never builds a large count. A
+    slot with that many opponents before it exceeds the cap alone, so each
+    term is clamped there and the sum stays small however long the prefix is.
     """
-    need = max(cap, 0).bit_length()
+    need = cap_bits(cap)
     befores = [before for _, before in _slots(prefix, role)]
     bits = sum(2 ** min(before, need) for before in befores)
     if bits < need:
         return
-    if max(befores, default=0) < need and bits <= 64:
-        total = str(2**bits)
-    else:
-        total = f"at least 2**{bits}"
+    exact = max(befores, default=0) < need and bits <= 64
+    total = str(2**bits) if exact else f"at least 2**{bits}"
     raise CapExceededError(f"{total} strategies exceed enumeration cap {cap}")
 
 
@@ -325,7 +327,7 @@ def orbit_classes(
     # plays in lexicographic order; a stack entry is a finished subtree and
     # its depth, and two siblings on top join into their parent
     stack: list[tuple[int, Classes]] = []
-    for play in itertools.product((False, True), repeat=len(order)):
+    for play in _histories(len(order)):
         depth, node = len(order), leaf(play)
         while stack and stack[-1][0] == depth:
             depth -= 1

@@ -25,7 +25,7 @@ from qsymbreak import cli
 from qsymbreak.cli import main
 from qsymbreak.detect import DetectionResult
 from qsymbreak.formulas import And, Or, clauses_to_formula, cubes_to_formula
-from qsymbreak.groups import is_syntactic_symmetry, parse_generators
+from qsymbreak.groups import CLOSURE_CAP, is_syntactic_symmetry, parse_generators
 from qsymbreak.qdimacs import parse_dnf, parse_qdimacs
 from qsymbreak.strategies import qbf_truth
 
@@ -298,6 +298,20 @@ def test_break_with_product_length(tmp_path, capsys):
     _, plain, _ = run(capsys, "solve", path)
     _, after, _ = run(capsys, "solve", broken)
     assert after == plain == "TRUE\n"
+
+
+@pytest.mark.parametrize("command", ["break", "verify"])
+def test_product_closure_stops_at_the_closure_cap(tmp_path, capsys, command):
+    # a clause-free 12-variable block has 23 generators: 2,286 distinct
+    # products of at most 3 of them, more than CLOSURE_CAP of at most 4
+    block = " ".join(map(str, range(1, 13)))
+    path = write(tmp_path, "free12.qdimacs", f"p cnf 12 0\ne {block} 0\n")
+    flags = ["--exists"] if command == "break" else []
+    code, out, err = run(capsys, command, *flags, "--product-length", "4", path)
+    assert (code, out) == (3, "")
+    assert err == f"cap exceeded: product closure exceeds cap {CLOSURE_CAP}\n"
+    if command == "break":
+        assert run(capsys, command, *flags, "--product-length", "3", path)[0] == 0
 
 
 # where break sends its outputs: flags -> (exit code, and what stdout, -o and

@@ -15,7 +15,9 @@ from qsymbreak.detect import (
     AutomorphismResult,
     ColoredGraph,
     DetectionWarning,
+    _ids,
     _individualize,
+    _refined,
     brute_force_symmetries,
     build_symmetry_graph,
     detect_symmetries,
@@ -176,28 +178,35 @@ def test_refinement_matches_the_fixpoint_loop():
 
 
 def test_search_nodes_refine_like_the_fixpoint_loop():
-    # every child the search refines: a stable coloring with one vertex of
-    # a non-singleton cell moved to the maximum color plus one, three
-    # levels deep so that colorings with individualized vertices are
-    # parents too
+    # every child the search refines: a stable node with one vertex of a
+    # non-singleton cell moved to a new cell labeled n + depth, three levels
+    # deep so that nodes with gapped and top labels are parents too
     rng = random.Random(31)
     children = 0
     for _ in range(200):
         graph = _symmetric_graph(rng)
-        level = [refine_colors(graph)]
-        for _depth in range(3):
+        n = graph.n_vertices
+        level = [_refined(graph)]
+        for depth in range(3):
             deeper = []
-            for coloring in level:
-                for v in range(graph.n_vertices):
-                    if coloring.count(coloring[v]) < 2:
+            for node in level:
+                labels, cells = node
+                before = (list(labels), {s: list(m) for s, m in cells.items()})
+                for v in range(n):
+                    if len(cells[labels[v]]) < 2:
                         continue
-                    child = list(coloring)
-                    child[v] = max(coloring) + 1
-                    refined = _individualize(graph.adjacency, coloring, v)
-                    assert refined == _refine_to_fixpoint(graph, child)
+                    child = list(labels)
+                    child[v] = n + depth
+                    refined = _individualize(graph.adjacency, node, v, n + depth)
+                    assert _ids(refined[0]) == _refine_to_fixpoint(graph, child)
+                    # the cell index lists each label's members in vertex order
+                    assert refined[1] == {
+                        s: [u for u in range(n) if refined[0][u] == s] for s in set(refined[0])
+                    }
                     children += 1
                     if rng.random() < 0.2:
                         deeper.append(refined)
+                assert (labels, cells) == before  # children leave the parent as it was
             level = deeper
     assert children > 3000
 
@@ -517,6 +526,14 @@ PINNED_DETECTIONS = {
     "kbkf_32": (
         lambda: gen_kbkf(32),
         (64, 32, "5d420407f7285730b7870288c10463b98203370ae76e1f14934b8a10f3e647ee"),
+    ),
+    "kbkf_64": (
+        lambda: gen_kbkf(64),
+        (128, 64, "73f07cae1d540fadebf93ed9758b23fae68484af8317bc15d41a440caf7894fd"),
+    ),
+    "pigeonhole_6x5": (
+        lambda: pigeonhole(6, 5),
+        (14, 9, "c92b12618cfc9f66fa5ba8b0b66346fcd9bf3d768e45db137529b3dd7469b5dc"),
     ),
 }
 

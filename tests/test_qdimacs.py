@@ -143,6 +143,13 @@ def test_unused_quantified_variable_flagged():
     assert inst.unused_vars == (2,)
 
 
+def test_instance_builds_its_matrix_node_once():
+    # strategy_value and qbf_truth read it once per call on an instance
+    inst = parse_qdimacs("p cnf 2 2\ne 1 2 0\n1 0\n-1 2 0")
+    assert inst.to_formula() is inst.to_formula()
+    assert inst == parse_qdimacs(serialize_qdimacs(inst))  # the cache is not compared
+
+
 def test_normalize_clause_orders_and_detects_tautology():
     assert normalize_clause([3, -2, 3, 1]) == (1, -2, 3)
     assert normalize_clause([1, -1]) is None
