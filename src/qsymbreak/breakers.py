@@ -41,10 +41,10 @@ from .formulas import (
     clauses_to_formula,
     conj,
     cubes_to_formula,
-    evaluate,
     iff,
     implies,
     literal,
+    truth_table,
 )
 from .groups import CLOSURE_CAP, SignedPermutation, check_admissible
 from .qdimacs import EXISTS, FORALL, Prefix, QbfInstance, normalize_clause
@@ -401,8 +401,9 @@ class BreakerReport:
     """Outcome of an orbit-coverage verification.
 
     ``uncovered`` lists the orbits without a kept strategy, each as the
-    sorted plays that represent its class (see ``orbit_classes``), in
-    sorted order.  ``kept`` counts the strategies the breaker keeps over
+    sorted plays that represent its class, the least play of each play
+    orbit in it (see ``orbit_classes``) as a value tuple in prefix order,
+    in sorted order.  ``kept`` counts the strategies the breaker keeps over
     all orbits: the smaller, the stronger the breaker.
     """
 
@@ -428,8 +429,8 @@ def verify_breaker(
     universal strategy on whose plays ``psi`` never holds.  ``psi`` may
     be a :class:`BreakerFormula` (the polarity is taken from it) or a
     plain formula, which is checked as an existential breaker.  The
-    orbits come from ``orbit_classes``, which evaluates ``psi`` once per
-    play; ``cap`` bounds the player's strategy count, as in
+    orbits come from ``orbit_classes``, on one ``truth_table`` of ``psi``
+    over the plays; ``cap`` bounds the player's strategy count, as in
     ``semantic_orbits``, and the plays.
     """
     if isinstance(psi, BreakerFormula):
@@ -442,13 +443,19 @@ def verify_breaker(
     # the opponent's variables add plays but no strategies
     if prefix.n >= cap_bits(cap):
         raise CapExceededError(f"2**{prefix.n} plays exceed enumeration cap {cap}")
-    order = prefix.variables
+    n = prefix.n
+    table = truth_table(formula, prefix.variables)
+    kept_plays = table if target else table ^ ((1 << 2**n) - 1)
+    classes, leasts = orbit_classes(prefix, generators, pol, kept_plays)
 
-    def keeps(play: tuple[bool, ...]) -> bool:
-        return evaluate(formula, dict(zip(order, play))) == target
+    def plays(c: int) -> tuple[tuple[bool, ...], ...]:
+        # ordinals rise with the least plays, so the plays come out sorted
+        ordinals = (o for o, d in enumerate(reversed(f"{c:b}")) if d == "1")
+        return tuple(
+            tuple(bool(leasts[o] >> i & 1) for i in reversed(range(n))) for o in ordinals
+        )
 
-    classes = orbit_classes(prefix, generators, pol, keeps)
-    uncovered = tuple(sorted(tuple(sorted(c)) for c, (_, k) in classes.items() if not k))
+    uncovered = tuple(sorted(plays(c) for c, (_, k) in classes.items() if not k))
     kept = sum(k for _, k in classes.values())
     covered = len(classes) - len(uncovered)
     return BreakerReport(not uncovered, pol, len(classes), covered, uncovered, kept)

@@ -8,6 +8,10 @@ removes it from the tree syntactically, not just semantically.
 A clause list is one node, ``Cnf``, of signed DIMACS literals; a cube list
 is its negation over the negated literals (a DNF is a negated CNF), so
 term lists have one node kind, restricted and evaluated here alone.
+
+``truth_table`` evaluates a formula on every total assignment of a variable
+order at once: the table is one int with a bit per assignment, so each
+connective is one bitwise operation on ints (Knuth, TAOCP 4A, 7.1.3).
 """
 
 from __future__ import annotations
@@ -216,6 +220,77 @@ def evaluate(formula: Formula, assignment: Mapping[int, bool]) -> bool:
     raise TypeError(f"not a formula node: {formula!r}")
 
 
+def truth_table(formula: Formula, order: Iterable[int]) -> int:
+    """The formula's value on every play of ``order``, as one int.
+
+    Bit p is the value on the play whose binary digits are p, the first
+    variable of ``order`` most significant. A variable outside ``order``
+    raises ``MissingAssignmentError``.
+    """
+    order = tuple(order)
+    n = len(order)
+    full = (1 << (1 << n)) - 1
+    position = {v: n - 1 - i for i, v in enumerate(order)}  # the variable's bit in p
+    literals: dict[int, int] = {}
+    memo: dict[int, int] = {}  # by node identity: shared subtrees are read once
+
+    def lit(l: int) -> int:
+        table = literals.get(l)
+        if table is None:
+            if l < 0:
+                table = full ^ lit(-l)
+            else:
+                try:
+                    bit = position[l]
+                except KeyError:
+                    raise MissingAssignmentError(l) from None
+                # 2**bit zeros then 2**bit ones, doubled up to 2**n bits
+                table, width = ((1 << (1 << bit)) - 1) << (1 << bit), 2 << bit
+                while width < 1 << n:
+                    table |= table << width
+                    width <<= 1
+            literals[l] = table
+        return table
+
+    def table(node: Formula) -> int:
+        key = id(node)
+        if key in memo:
+            return memo[key]
+        if isinstance(node, Const):
+            out = full if node.value else 0
+        elif isinstance(node, Var):
+            out = lit(node.id)
+        elif isinstance(node, Not):
+            out = full ^ table(node.child)
+        elif isinstance(node, And):
+            out = full
+            for child in node.children:
+                out &= table(child)
+        elif isinstance(node, Or):
+            out = 0
+            for child in node.children:
+                out |= table(child)
+        elif isinstance(node, Cnf):
+            out = full
+            for clause in node.clauses:
+                term = 0
+                for l in clause:
+                    term |= lit(l)
+                out &= term
+        elif isinstance(node, Implies):
+            out = (full ^ table(node.left)) | table(node.right)
+        elif isinstance(node, Iff):
+            out = full ^ table(node.left) ^ table(node.right)
+        elif isinstance(node, Xor):
+            out = table(node.left) ^ table(node.right)
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+        memo[key] = out
+        return out
+
+    return table(formula)
+
+
 def substitute(formula: Formula, partial: Mapping[int, bool]) -> Formula:
     """Replace assigned variables by constants and fold.
 
@@ -275,7 +350,7 @@ def variables(formula: Formula) -> frozenset[int]:
         elif isinstance(node, (And, Or)):
             stack.extend(node.children)
         elif isinstance(node, Cnf):
-            out.update(abs(l) for clause in node.clauses for l in clause)
+            out.update(map(abs, itertools.chain.from_iterable(node.clauses)))
         elif isinstance(node, (Implies, Iff, Xor)):
             stack.append(node.left)
             stack.append(node.right)
@@ -305,7 +380,4 @@ def equivalent(
             raise ValueError(f"vars does not cover the formulas: missing {sorted(missing)}")
     if len(ids) > cap:
         raise CapExceededError(f"equivalence check over {len(ids)} variables exceeds cap {cap}")
-    for sigma in all_assignments(ids):
-        if evaluate(phi, sigma) != evaluate(psi, sigma):
-            return False
-    return True
+    return truth_table(phi, ids) == truth_table(psi, ids)

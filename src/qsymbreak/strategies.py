@@ -12,32 +12,37 @@ most significant) indexes its slot. The strategies of a player are then
 exactly the label vectors, which makes equality, hashing and enumeration
 cheap.
 
-The truth oracle is one memoized recursion over the prefix: it splits the
-next variable and short-circuits on its quantifier. Every matrix is a
-``Formula``, an instance's clause list included, so one restriction,
-``substitute``, and one evaluator, ``evaluate``, serve every target; a
-matrix is settled once it folds to a constant.
+The truth oracle is one memoized recursion over the outer variables of the
+prefix: it splits the next variable and short-circuits on its quantifier.
+Every matrix is a ``Formula``, an instance's clause list included, so one
+restriction, ``substitute``, serves every target; a matrix is settled once
+it folds to a constant. The innermost ``TABLE_VARS`` variables are not
+split: the matrix left over them is evaluated as one ``truth_table`` and
+its quantifiers are folded innermost first, a shift and one bitwise
+operation each.
 
 The module also computes semantic orbits: the partition of one player's
-strategies induced by a syntactic symmetry group acting path-wise, with
-each play's orbit walked from the generators rather than the whole group.
-Two strategies share an orbit when their plays touch the same play orbits,
-so an orbit is named by that set of play-orbit representatives, its class.
-``orbit_classes`` builds the classes in one bottom-up pass over the game
-tree, counting strategies per class, without building any strategy; the
-enumerating ``semantic_orbits`` is the reference it is tested against.
+strategies induced by a syntactic symmetry group acting path-wise. Two
+strategies share an orbit when their plays touch the same play orbits, so
+an orbit is named by that set of play orbits, its class. ``orbit_classes``
+builds the classes in one bottom-up pass over the game tree, counting
+strategies per class, without building any strategy; plays there are
+integers, and each generator is compiled once into a table of play
+indices. The enumerating ``semantic_orbits``, which walks each play's
+orbit from the generators, is the reference it is tested against.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import CapExceededError, ValidationError
-from .formulas import Const, Formula, evaluate, substitute
+from .formulas import Const, Formula, evaluate, substitute, truth_table, variables
 from .qdimacs import EXISTS, FORALL, Prefix, QbfInstance
 from .groups import SignedPermutation, orbit_of_assignment
 
@@ -46,6 +51,9 @@ UNIVERSAL = FORALL
 
 ENUMERATION_CAP = 2**20
 TRUTH_VAR_CAP = 24
+# innermost variables that qbf_truth evaluates as one truth table, not by
+# splitting (see CHANGES.md for the measurement)
+TABLE_VARS = 14
 
 History = tuple[bool, ...]
 
@@ -192,25 +200,43 @@ def strategy_value(target: QbfInstance | tuple[Prefix, Formula], s: Strategy) ->
 
 
 def qbf_truth(target: QbfInstance | tuple[Prefix, Formula], cap: int = TRUTH_VAR_CAP) -> bool:
-    """Recursive game-semantics truth value with short-circuiting."""
+    """Recursive game-semantics truth value with short-circuiting.
+
+    The recursion splits the outer variables; the innermost ``TABLE_VARS``
+    are evaluated as one truth table, folded innermost first: ``t & (t >>
+    b)`` for a universal variable and ``t | (t >> b)`` for an existential
+    one, where b = 2**k for the variable at bit k of a play.
+    """
     prefix, matrix = _split_target(target)
     if prefix.n > cap:
         raise CapExceededError(f"{prefix.n} variables exceed truth cap {cap}")
     order = prefix.variables
     universal = tuple(prefix.quantifier_of(v) == FORALL for v in order)
+    split = max(len(order) - TABLE_VARS, 0)
+    # fold once: raw constructors may leave constants an empty prefix never restricts
+    start = substitute(matrix, {})
+    if not variables(start) <= set(order):
+        raise ValidationError("formula mentions variables outside the prefix")
+
+    def fold(current: Formula) -> bool:
+        table = truth_table(current, order[split:])
+        width = 1
+        for forall in reversed(universal[split:]):
+            table = table & (table >> width) if forall else table | (table >> width)
+            width <<= 1
+        return bool(table & 1)
 
     @cache
     def rec(idx: int, current: Formula) -> bool:
         if isinstance(current, Const):
             return current.value
-        if idx == len(order):
-            raise ValidationError("formula mentions variables outside the prefix")
+        if idx == split:
+            return fold(current)
         v = order[idx]
         branches = (rec(idx + 1, substitute(current, {v: value})) for value in (False, True))
         return all(branches) if universal[idx] else any(branches)
 
-    # fold once: raw constructors may leave constants an empty prefix never restricts
-    return rec(0, substitute(matrix, {}))
+    return rec(0, start)
 
 
 def common_path(s: Strategy, t: Strategy) -> dict[int, bool]:
@@ -273,64 +299,104 @@ def semantic_orbits(
     return list(buckets.values())
 
 
-Play = tuple[bool, ...]
-Classes = dict[frozenset[Play], tuple[int, int]]
+Classes = dict[int, tuple[int, int]]
+
+
+def _play_orbits(
+    prefix: Prefix, generators: Iterable[SignedPermutation]
+) -> tuple[array, list[int]]:
+    """The orbit ordinal of every play, and the least play of each orbit by
+    ordinal; one increasing scan numbers the orbits by their least plays.
+
+    Play p assigns the prefix variables the binary digits of p, the first
+    variable most significant. Each generator is compiled once into the
+    table of its images, built by doubling over the bit positions: the
+    image of p is a flip mask xor the images of p's set bits.
+    """
+    order = prefix.variables
+    n = len(order)
+    bit = {v: n - 1 - i for i, v in enumerate(order)}
+    tables = []
+    for g in generators:
+        if set(g.domain) != set(order):
+            raise ValidationError("generators must act on exactly the prefix variables")
+        flip, moved = 0, [0] * n
+        for v, image in g.mapping:
+            # the image play takes v's value from abs(image)'s, negated by a sign
+            moved[bit[abs(image)]] = 1 << bit[v]
+            if image < 0:
+                flip |= 1 << bit[v]
+        table = array("l", [flip])
+        for mask in moved:
+            table.extend([p ^ mask for p in table])
+        tables.append(table)
+    ordinal = array("l", [-1]) * 2**n
+    leasts: list[int] = []
+    for least in range(2**n):
+        if ordinal[least] >= 0:
+            continue
+        count = ordinal[least] = len(leasts)
+        leasts.append(least)
+        members = [least]
+        for p in members:  # the loop reaches what it appends
+            for table in tables:
+                q = table[p]
+                if ordinal[q] < 0:
+                    ordinal[q] = count
+                    members.append(q)
+    return ordinal, leasts
 
 
 def orbit_classes(
     prefix: Prefix,
     generators: Iterable[SignedPermutation],
     role: str,
-    keeps: Callable[[Play], bool],
-) -> Classes:
+    kept: int,
+) -> tuple[Classes, list[int]]:
     """The orbit classes of one player's strategies, without enumerating them.
 
-    Maps each class, the set of play-orbit representatives that the
-    strategies of one ``semantic_orbits`` orbit touch, to (strategies in
-    it, strategies all of whose plays ``keeps`` accepts). Plays are value
-    tuples in prefix order and a representative is the least play of its
-    orbit. One post-order pass over the game tree builds the map: a play
-    is one strategy of the class {its representative}; at the player's
-    own variable a strategy follows one child, so the children's maps
-    merge and their counts add; at the opponent's it answers both, so
-    every pair of child classes joins and the counts multiply. Each play
-    is visited once, so ``keeps`` runs once per play. The caller bounds
-    the work: ``verify_breaker`` caps the strategy count and the plays.
+    A class is the set of play orbits that the strategies of one
+    ``semantic_orbits`` orbit touch, as an int with one bit per orbit
+    ordinal. Plays are integers as in ``_play_orbits``, and bit p of
+    ``kept`` accepts play p. Returns the map from each class to (strategies
+    in it, strategies all of whose plays ``kept`` accepts), and the least
+    play of each orbit by ordinal. One post-order pass over the game tree
+    builds the map: a play is one strategy of the class {its orbit}; at the
+    player's own variable a strategy follows one child, so the children's
+    maps merge and their counts add; at the opponent's it answers both, so
+    every pair of child classes joins and the counts multiply. The caller
+    bounds the work: ``verify_breaker`` caps the strategy count and the
+    plays.
     """
-    generators = list(generators)
     order = prefix.variables
+    n = len(order)
     own = [prefix.quantifier_of(v) == role for v in order]
-    rep: dict[Play, Play] = {}
-
-    def leaf(play: Play) -> Classes:
-        if play not in rep:
-            orbit = orbit_of_assignment(generators, dict(zip(order, play)))
-            images = [tuple(image[v] for v in order) for image in orbit]
-            rep.update(dict.fromkeys(images, min(images)))
-        return {frozenset((rep[play],)): (1, int(keeps(play)))}
+    ordinal, leasts = _play_orbits(prefix, generators)
+    accepts = f"{kept:0{2**n}b}"[::-1]  # character p is bit p
 
     def join(depth: int, low: Classes, high: Classes) -> Classes:
         if own[depth]:
-            pairs = [*low.items(), *high.items()]
+            out = dict(low)
+            pairs = high.items()
         else:
+            out = {}
             pairs = [
                 (a | b, (na * nb, ka * kb))
                 for a, (na, ka) in low.items()
                 for b, (nb, kb) in high.items()
             ]
-        out: Classes = {}
-        for key, (count, kept) in pairs:
-            n0, k0 = out.get(key, (0, 0))
-            out[key] = (n0 + count, k0 + kept)
+        for key, (count, k) in pairs:
+            old = out.get(key)
+            out[key] = (count, k) if old is None else (old[0] + count, old[1] + k)
         return out
 
-    # plays in lexicographic order; a stack entry is a finished subtree and
+    # plays in increasing order; a stack entry is a finished subtree and
     # its depth, and two siblings on top join into their parent
     stack: list[tuple[int, Classes]] = []
-    for play in _histories(len(order)):
-        depth, node = len(order), leaf(play)
+    for p, o in enumerate(ordinal):
+        depth, node = n, {1 << o: (1, int(accepts[p] == "1"))}
         while stack and stack[-1][0] == depth:
             depth -= 1
             node = join(depth, stack.pop()[1], node)
         stack.append((depth, node))
-    return stack[0][1]
+    return stack[0][1], leasts

@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 
-from qsymbreak import breakers
+from qsymbreak import breakers, formulas, strategies
 from qsymbreak.breakers import (
     BreakerFormula,
     BreakerReport,
@@ -24,7 +24,7 @@ from qsymbreak.breakers import (
 from qsymbreak.benchmarks import gen_kbkf
 from qsymbreak.detect import detect_symmetries
 from qsymbreak.errors import CapExceededError, ValidationError
-from qsymbreak.formulas import FALSE, TRUE, Iff, Not, Var, equivalent, evaluate
+from qsymbreak.formulas import FALSE, TRUE, Iff, Not, Var, equivalent, evaluate, truth_table
 from qsymbreak.groups import (
     AdmissibleMap,
     SignedPermutation,
@@ -512,7 +512,7 @@ def test_orbit_classes_agree_with_enumeration_on_random_breakers():
         report = verify_breaker(prefix, gens, psi)
         assert report == enumerated_report(prefix, gens, psi.formula, pol)
         # every class holds as many strategies as its enumerated orbit
-        classes = orbit_classes(prefix, gens, pol, lambda play: True)
+        classes, _ = orbit_classes(prefix, gens, pol, (1 << 2**prefix.n) - 1)
         sizes = sorted(len(orbit) for orbit in semantic_orbits(prefix, gens, role=pol))
         assert sorted(n for n, k in classes.values()) == sizes
         assert all(n == k for n, k in classes.values())
@@ -525,11 +525,17 @@ def test_verify_breaker_evaluates_psi_once_per_play():
     prefix = Prefix.from_pairs([(FORALL, [1, 2]), (EXISTS, [3, 4, 5])])
     swap = SignedPermutation.from_dict({1: 2, 2: 1, 3: 4, 4: 3, 5: 5})
     psi = lex_leader_formula(prefix, [swap])
-    with mock.patch.object(breakers, "evaluate", wraps=evaluate) as spy:
+    # psi is read once for all plays, as one truth table, and never per play
+    with (
+        mock.patch.object(breakers, "truth_table", wraps=truth_table) as tables,
+        mock.patch.object(formulas, "evaluate", wraps=evaluate) as evaluations,
+        mock.patch.object(strategies, "evaluate", wraps=evaluate) as strategy_evaluations,
+    ):
         report = verify_breaker(prefix, [swap], psi)
     assert report.ok
     assert report.kept < count_strategies(prefix, EXISTS)
-    assert 0 < spy.call_count <= 2**prefix.n
+    assert tables.call_count == 1
+    assert evaluations.call_count == strategy_evaluations.call_count == 0
 
 
 def test_verify_breaker_bounds_the_plays():

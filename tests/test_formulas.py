@@ -12,7 +12,9 @@ from qsymbreak.formulas import (
     TRUE,
     And,
     Cnf,
+    Const,
     Iff,
+    Implies,
     Not,
     Or,
     Var,
@@ -27,6 +29,7 @@ from qsymbreak.formulas import (
     literal,
     map_variables,
     substitute,
+    truth_table,
     variables,
 )
 from qsymbreak.qdimacs import QbfInstance
@@ -205,6 +208,55 @@ def test_de_morgan_table():
         g = oracles.random_formula(rng, ids)
         for sigma in all_assignments(ids):
             assert evaluate(Not(And((f, g))), sigma) == evaluate(Or((Not(f), Not(g))), sigma)
+
+
+def node_kinds(formula):
+    kinds, stack = set(), [formula]
+    while stack:
+        node = stack.pop()
+        kinds.add(type(node))
+        if isinstance(node, Not):
+            stack.append(node.child)
+        elif isinstance(node, (And, Or)):
+            stack.extend(node.children)
+        elif isinstance(node, (Implies, Iff, Xor)):
+            stack += [node.left, node.right]
+    return kinds
+
+
+def test_truth_table_matches_the_oracle_bit_by_bit():
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(300):
+        ids = list(range(1, rng.randint(1, 5) + 1))
+        clauses = oracles.random_clauses(rng, len(ids), rng.randint(0, 4))
+        if rng.random() < 0.1:
+            clauses.append(())
+        cnf, other = Cnf(tuple(clauses)), oracles.random_formula(rng, ids)
+        formula = rng.choice((And((other, cnf)), Implies(cnf, other), Xor(other, cnf), cnf))
+        seen |= node_kinds(formula)
+        # one variable the formula may not mention, anywhere in the order
+        order = ids + [len(ids) + 1]
+        rng.shuffle(order)
+        table = truth_table(formula, order)
+        rows = oracles.truth_table(formula, order)
+        assert table >> len(rows) == 0
+        assert all((table >> p & 1) == row for p, row in enumerate(rows))
+    assert seen == {Const, Var, Not, And, Or, Cnf, Implies, Iff, Xor}
+
+
+def test_truth_table_over_an_empty_order():
+    assert truth_table(TRUE, ()) == 1 and truth_table(FALSE, []) == 0
+    assert truth_table(Cnf(()), ()) == 1 and truth_table(Cnf(((),)), ()) == 0
+    assert truth_table(Xor(TRUE, Not(FALSE)), ()) == 0
+
+
+def test_truth_table_rejects_a_variable_outside_the_order():
+    with pytest.raises(MissingAssignmentError, match="variable 3") as info:
+        truth_table(Or((x, Cnf(((2, -3),)))), [2, 1])
+    assert info.value.var == 3
+    with pytest.raises(MissingAssignmentError, match="variable 1"):
+        truth_table(x, ())
 
 
 @st.composite

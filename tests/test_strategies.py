@@ -6,7 +6,8 @@ import random
 import pytest
 
 from qsymbreak.errors import CapExceededError, ValidationError
-from qsymbreak.formulas import TRUE, And, Iff, Or, Var
+from qsymbreak.formulas import TRUE, And, Iff, Not, Or, Var
+from qsymbreak import strategies
 from qsymbreak.groups import SignedPermutation
 from qsymbreak.qdimacs import EXISTS, FORALL, Prefix, QbfInstance
 from qsymbreak.strategies import (
@@ -182,14 +183,21 @@ def test_truth_cap():
         qbf_truth(QbfInstance(prefix=prefix, clauses=((1,),)))
 
 
-def test_truth_matches_unpruned_oracle():
+# innermost variables evaluated as one table: none (the recursion splits
+# every variable), one, a hand-off inside desk-scale prefixes, and the default
+TABLE_VARS_CASES = (0, 1, 3, strategies.TABLE_VARS)
+
+
+def test_truth_matches_unpruned_oracle(monkeypatch):
     # an instance and its (prefix, formula) pair are one target
-    rng = random.Random(512)
-    for _ in range(150):
-        inst = oracles.random_instance(rng, rng.randint(1, 6), rng.randint(0, 8))
-        expected = oracles.brute_qbf_truth(inst)
-        assert qbf_truth(inst) == expected
-        assert qbf_truth((inst.prefix, inst.to_formula())) == expected
+    for table_vars in TABLE_VARS_CASES:
+        monkeypatch.setattr(strategies, "TABLE_VARS", table_vars)
+        rng = random.Random(512)
+        for _ in range(150):
+            inst = oracles.random_instance(rng, rng.randint(1, 6), rng.randint(0, 8))
+            expected = oracles.brute_qbf_truth(inst)
+            assert qbf_truth(inst) == expected, table_vars
+            assert qbf_truth((inst.prefix, inst.to_formula())) == expected, table_vars
 
 
 def test_empty_clause_is_false():
@@ -197,9 +205,16 @@ def test_empty_clause_is_false():
     assert qbf_truth(QbfInstance(prefix=PREFIX_AE, clauses=((1, 2), ()))) is False
 
 
-def test_formula_outside_the_prefix_is_rejected():
-    with pytest.raises(ValidationError, match="outside the prefix"):
-        qbf_truth((PREFIX_AE, Iff(Var(1), Var(3))))
+def test_formula_outside_the_prefix_is_rejected(monkeypatch):
+    # on both sides of the hand-off from the recursion to the table, also
+    # where x1 = false settles the value before the recursion reaches x3
+    prefix_ea = Prefix.from_pairs([(EXISTS, [1]), (FORALL, [2])])
+    for table_vars in TABLE_VARS_CASES:
+        monkeypatch.setattr(strategies, "TABLE_VARS", table_vars)
+        with pytest.raises(ValidationError, match="outside the prefix"):
+            qbf_truth((PREFIX_AE, Iff(Var(1), Var(3))))
+        with pytest.raises(ValidationError, match="outside the prefix"):
+            qbf_truth((prefix_ea, Or((Not(Var(1)), Var(3)))))
 
 
 def test_common_path_forced_intersection():
