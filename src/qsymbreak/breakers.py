@@ -7,7 +7,10 @@ lex-leader breaker is
           (AND_{j<i} (x_j <-> g(x_j)))  ->  (x_i -> g(x_i))
 
 which keeps, from every semantic orbit of existential strategies, the
-ones that play lexicographically minimal assignments.  The universal
+ones that play lexicographically minimal assignments.  Its pieces are
+clauses: a guard x_j <-> g(x_j) is the two-clause ``Cnf`` (~x_j | g(x_j))
+& (x_j | ~g(x_j)), a consequent x_i -> g(x_i) the one clause (~x_i |
+g(x_i)), and each term is ``~(AND guards) | consequent``.  The universal
 breaker is the negation of the existential breaker built for the flipped
 prefix.
 
@@ -35,15 +38,15 @@ from functools import cached_property
 from .errors import CapExceededError, ValidationError
 from .formulas import (
     And,
+    Cnf,
     Formula,
     Not,
     Or,
     clauses_to_formula,
     conj,
     cubes_to_formula,
-    iff,
-    implies,
-    literal,
+    disj,
+    neg,
     truth_table,
 )
 from .groups import CLOSURE_CAP, SignedPermutation, check_admissible
@@ -132,18 +135,16 @@ class BreakerFormula:
 
 def _element_conjunct(prefix: Prefix, g: SignedPermutation) -> Formula:
     terms: list[Formula] = []
-    equalities: list[Formula] = []
+    guards: list[Formula] = []
     for v in prefix.variables:
         image = g.image(v)
-        if prefix.quantifier_of(v) == EXISTS and image != v:
-            consequent = implies(literal(v), literal(image))
-            if equalities:
-                terms.append(implies(conj(tuple(equalities)), consequent))
-            else:
-                terms.append(consequent)
-        if image != v:
-            equalities.append(iff(literal(v), literal(image)))
-    return conj(tuple(terms))
+        if image == v:
+            continue
+        if prefix.quantifier_of(v) == EXISTS:
+            consequent = Cnf(((-v, image),))
+            terms.append(disj((neg(conj(guards)), consequent)))
+        guards.append(Cnf(((-v, image), (v, -image))))
+    return conj(terms)
 
 
 def lex_leader_formula(prefix: Prefix, generators) -> BreakerFormula:

@@ -1,9 +1,12 @@
 """Boolean formula trees: construction, evaluation, substitution, equivalence.
 
 Formulas are immutable dataclass trees over integer variable ids (1-based,
-matching DIMACS numbering). The folding constructors (neg, conj, disj,
-implies, iff, xor) perform constant propagation, so substituting a variable
-removes it from the tree syntactically, not just semantically.
+matching DIMACS numbering), with six node kinds: Const, Var, Not, And, Or
+and Cnf. Implication, equivalence and exclusive or are not nodes: between
+literals they are clauses, and elsewhere they are And/Or/Not compositions.
+The folding constructors (neg, conj, disj) perform constant propagation, so
+substituting a variable removes it from the tree syntactically, not just
+semantically.
 
 A clause list is one node, ``Cnf``, of signed DIMACS literals; a cube list
 is its negation over the negated literals (a DNF is a negated CNF), so
@@ -78,24 +81,6 @@ class Cnf(Formula):
     clauses: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True, slots=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True, slots=True)
-class Xor(Formula):
-    left: Formula
-    right: Formula
-
-
 def neg(f: Formula) -> Formula:
     if isinstance(f, Const):
         return Const(not f.value)
@@ -142,34 +127,6 @@ def disj(items: Iterable[Formula]) -> Formula:
     return Or(tuple(parts))
 
 
-def implies(a: Formula, b: Formula) -> Formula:
-    if isinstance(a, Const):
-        return b if a.value else TRUE
-    if isinstance(b, Const):
-        return TRUE if b.value else neg(a)
-    return Implies(a, b)
-
-
-def iff(a: Formula, b: Formula) -> Formula:
-    if isinstance(a, Const):
-        return b if a.value else neg(b)
-    if isinstance(b, Const):
-        return a if b.value else neg(a)
-    if a == b:
-        return TRUE
-    return Iff(a, b)
-
-
-def xor(a: Formula, b: Formula) -> Formula:
-    if isinstance(a, Const):
-        return neg(b) if a.value else b
-    if isinstance(b, Const):
-        return neg(a) if b.value else a
-    if a == b:
-        return FALSE
-    return Xor(a, b)
-
-
 def literal(lit: int) -> Formula:
     """Formula for a signed DIMACS literal: 3 -> x3, -3 -> not x3."""
     if lit == 0:
@@ -211,12 +168,6 @@ def evaluate(formula: Formula, assignment: Mapping[int, bool]) -> bool:
             return all(any((l > 0) == assignment[abs(l)] for l in c) for c in formula.clauses)
         except KeyError as exc:
             raise MissingAssignmentError(exc.args[0]) from None
-    if isinstance(formula, Implies):
-        return (not evaluate(formula.left, assignment)) or evaluate(formula.right, assignment)
-    if isinstance(formula, Iff):
-        return evaluate(formula.left, assignment) == evaluate(formula.right, assignment)
-    if isinstance(formula, Xor):
-        return evaluate(formula.left, assignment) != evaluate(formula.right, assignment)
     raise TypeError(f"not a formula node: {formula!r}")
 
 
@@ -225,12 +176,16 @@ def truth_table(formula: Formula, order: Iterable[int]) -> int:
 
     Bit p is the value on the play whose binary digits are p, the first
     variable of ``order`` most significant. A variable outside ``order``
-    raises ``MissingAssignmentError``.
+    raises ``MissingAssignmentError``, and one that ``order`` repeats
+    raises ``ValueError``.
     """
     order = tuple(order)
     n = len(order)
     full = (1 << (1 << n)) - 1
     position = {v: n - 1 - i for i, v in enumerate(order)}  # the variable's bit in p
+    if len(position) < n:
+        repeated = next(v for i, v in enumerate(order) if v in order[:i])
+        raise ValueError(f"order repeats variable {repeated}")
     literals: dict[int, int] = {}
     memo: dict[int, int] = {}  # by node identity: shared subtrees are read once
 
@@ -277,12 +232,6 @@ def truth_table(formula: Formula, order: Iterable[int]) -> int:
                 for l in clause:
                     term |= lit(l)
                 out &= term
-        elif isinstance(node, Implies):
-            out = (full ^ table(node.left)) | table(node.right)
-        elif isinstance(node, Iff):
-            out = full ^ table(node.left) ^ table(node.right)
-        elif isinstance(node, Xor):
-            out = table(node.left) ^ table(node.right)
         else:
             raise TypeError(f"not a formula node: {node!r}")
         memo[key] = out
@@ -328,12 +277,6 @@ def map_variables(formula: Formula, images: Mapping[int, Formula]) -> Formula:
                 return FALSE
             out.append(clause)
         return Cnf(tuple(out)) if out else TRUE
-    if isinstance(formula, Implies):
-        return implies(map_variables(formula.left, images), map_variables(formula.right, images))
-    if isinstance(formula, Iff):
-        return iff(map_variables(formula.left, images), map_variables(formula.right, images))
-    if isinstance(formula, Xor):
-        return xor(map_variables(formula.left, images), map_variables(formula.right, images))
     raise TypeError(f"not a formula node: {formula!r}")
 
 
@@ -351,9 +294,6 @@ def variables(formula: Formula) -> frozenset[int]:
             stack.extend(node.children)
         elif isinstance(node, Cnf):
             out.update(map(abs, itertools.chain.from_iterable(node.clauses)))
-        elif isinstance(node, (Implies, Iff, Xor)):
-            stack.append(node.left)
-            stack.append(node.right)
     return frozenset(out)
 
 

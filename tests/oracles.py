@@ -9,23 +9,45 @@ from __future__ import annotations
 import itertools
 import random
 
-from qsymbreak.formulas import (
-    And,
-    Const,
-    Formula,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    Var,
-    Xor,
-    evaluate,
-)
+from qsymbreak.formulas import And, Cnf, Const, Formula, Not, Or, Var
 from qsymbreak.qdimacs import EXISTS, FORALL, Prefix, QbfInstance
 
 
+def implies(a: Formula, b: Formula) -> Formula:
+    """a -> b as a raw, unfolded Or/Not composition."""
+    return Or((Not(a), b))
+
+
+def iff(a: Formula, b: Formula) -> Formula:
+    """a <-> b as a raw, unfolded disjunction of conjunctions."""
+    return Or((And((a, b)), And((Not(a), Not(b)))))
+
+
+def xor(a: Formula, b: Formula) -> Formula:
+    """a xor b as a raw, unfolded conjunction of disjunctions."""
+    return And((Or((a, b)), Or((Not(a), Not(b)))))
+
+
+def evaluate(formula: Formula, sigma: dict[int, bool]) -> bool:
+    """Truth value by plain structural recursion over the six node kinds."""
+    if isinstance(formula, Const):
+        return formula.value
+    if isinstance(formula, Var):
+        return sigma[formula.id]
+    if isinstance(formula, Not):
+        return not evaluate(formula.child, sigma)
+    if isinstance(formula, And):
+        return all([evaluate(child, sigma) for child in formula.children])
+    if isinstance(formula, Or):
+        return any([evaluate(child, sigma) for child in formula.children])
+    if isinstance(formula, Cnf):
+        return all([any([sigma[abs(l)] == (l > 0) for l in c]) for c in formula.clauses])
+    raise TypeError(f"not a formula node: {formula!r}")
+
+
 def random_formula(rng: random.Random, var_ids: list[int], depth: int = 3) -> Formula:
-    """Random formula tree over the given variables."""
+    """Random raw (unfolded) formula tree over the given variables; ->,
+    <-> and xor come as their And/Or/Not compositions."""
     if depth == 0 or rng.random() < 0.3:
         roll = rng.random()
         if roll < 0.1:
@@ -42,7 +64,7 @@ def random_formula(rng: random.Random, var_ids: list[int], depth: int = 3) -> Fo
         return Or(tuple(random_formula(rng, var_ids, depth - 1) for _ in range(width)))
     a = random_formula(rng, var_ids, depth - 1)
     b = random_formula(rng, var_ids, depth - 1)
-    return (Implies, Iff, Xor)[kind - 3](a, b)
+    return (implies, iff, xor)[kind - 3](a, b)
 
 
 def random_assignment(rng: random.Random, var_ids: list[int]) -> dict[int, bool]:

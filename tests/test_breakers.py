@@ -24,7 +24,7 @@ from qsymbreak.breakers import (
 from qsymbreak.benchmarks import gen_kbkf
 from qsymbreak.detect import detect_symmetries
 from qsymbreak.errors import CapExceededError, ValidationError
-from qsymbreak.formulas import FALSE, TRUE, Iff, Not, Var, equivalent, evaluate, truth_table
+from qsymbreak.formulas import FALSE, TRUE, Not, Var, equivalent, evaluate, truth_table
 from qsymbreak.groups import (
     AdmissibleMap,
     SignedPermutation,
@@ -387,7 +387,7 @@ def test_verify_breaker_on_the_klein_example():
     assert not report.ok
     assert report.covered == 0 and len(report.uncovered) == 4
     # forcing y and z equal keeps only the orbit that already plays equal
-    report = verify_breaker(PREFIX_AEE, gens, Iff(Var(2), Var(3)))
+    report = verify_breaker(PREFIX_AEE, gens, oracles.iff(Var(2), Var(3)))
     assert not report.ok
     assert report.covered == 1
 

@@ -11,6 +11,7 @@ import io
 import itertools
 import json
 import math
+import pathlib
 import re
 import subprocess
 import sys
@@ -340,21 +341,22 @@ PINNED_BREAKS = {
 }
 
 
-def _pinned_break_input(tmp_path, capsys, name):
-    if name == "kbkf_2":
-        run(capsys, "gen", "kbkf", "2", "-o", str(tmp_path / "in.qdimacs"))
+def _pinned_input(capsys, name):
+    """Write a pinned input into the current directory; return its arguments."""
+    here = pathlib.Path()
+    if name.startswith("kbkf_"):
+        run(capsys, "gen", "kbkf", name[len("kbkf_"):], "-o", "in.qdimacs")
     elif name == "planted_3":
         run(
             capsys, "gen", "random", "--seed", "3", "-n", "5", "-m", "6",
-            "--planted", "-o", str(tmp_path / "in.qdimacs"),
+            "--planted", "-o", "in.qdimacs",
         )
     elif name == "static_group":
-        write(tmp_path, "in.qdimacs", KLEIN)
-        return [str(tmp_path / "in.qdimacs"), "--generators",
-                write(tmp_path, "gens.txt", "(2 3)\n(-2)(-3)\n")]
+        write(here, "in.qdimacs", KLEIN)
+        return ["in.qdimacs", "--generators", write(here, "gens.txt", "(2 3)\n(-2)(-3)\n")]
     else:
-        write(tmp_path, "in.qdimacs", "p cnf 0 0\n")
-    return [str(tmp_path / "in.qdimacs")]
+        write(here, "in.qdimacs", "p cnf 0 0\n")
+    return ["in.qdimacs"]
 
 
 def _kind(text):
@@ -364,8 +366,9 @@ def _kind(text):
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_BREAKS))
-def test_break_outputs_stay_pinned(tmp_path, capsys, name):
-    args = _pinned_break_input(tmp_path, capsys, name)
+def test_break_outputs_stay_pinned(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    args = _pinned_input(capsys, name)
     records = []
     for flags, route in BREAK_ROUTES.items():
         out_dir = tmp_path / "-".join(f.strip("-") for f in flags)
@@ -380,6 +383,30 @@ def test_break_outputs_stay_pinned(tmp_path, capsys, name):
         records.append((flags, code, out, *files))
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     assert digest == PINNED_BREAKS[name]
+
+
+# sha256 of verify --json's exit code and stdout, recorded while the
+# formula trees still had nodes for <->, -> and xor. kbkf_2 is over the
+# enumeration cap (exit 3); planted_3's 65,536 strategies run with a raised
+# cap. The report names the instance, so the input path is relative.
+PINNED_VERIFIES = {
+    "kbkf_1": "64e7b8689c05d9099cc8cd48478b02f5f15c067143ab871f2aaeae25442ce706",
+    "kbkf_2": "fa1808fe1b1b1a67b22aee997adcc0b717c79dbf9d7290680bc2bab772fa81f5",
+    "planted_3": "8eb48ba6c9d4ddcd0a19c16f812f17111a7dc45546f00e0d3074c53a70e57bcb",
+    "static_group": "51db40593089fe8da2d353782f71d17beb7627aadeb0ecdba6a6138ea4362e85",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_VERIFIES))
+def test_verify_outputs_stay_pinned(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    args = _pinned_input(capsys, name)
+    if name == "planted_3":
+        args += ["--cap", "65536"]
+    code, out, _ = run(capsys, "verify", "--json", *args)
+    assert code == (3 if name == "kbkf_2" else 0)
+    digest = hashlib.sha256(repr((code, out)).encode()).hexdigest()
+    assert digest == PINNED_VERIFIES[name]
 
 
 def test_break_both_reads_the_instance_before_asking_for_dnf_out(tmp_path, capsys):

@@ -13,12 +13,9 @@ from qsymbreak.formulas import (
     And,
     Cnf,
     Const,
-    Iff,
-    Implies,
     Not,
     Or,
     Var,
-    Xor,
     all_assignments,
     clauses_to_formula,
     conj,
@@ -41,7 +38,7 @@ x, y, z = Var(1), Var(2), Var(3)
 
 
 def test_evaluate_iff_identity():
-    assert evaluate(Iff(Var(1), Var(2)), {1: True, 2: True}) is True
+    assert evaluate(oracles.iff(Var(1), Var(2)), {1: True, 2: True}) is True
 
 
 def test_evaluate_constant_disjunction():
@@ -50,7 +47,7 @@ def test_evaluate_constant_disjunction():
 
 def test_evaluate_falsified_conjunct():
     # (x <-> a) and (y <-> b) with x=T, y=F, a=T, b=T: second conjunct fails
-    phi = And((Iff(Var(1), Var(3)), Iff(Var(2), Var(4))))
+    phi = And((oracles.iff(Var(1), Var(3)), oracles.iff(Var(2), Var(4))))
     assert evaluate(phi, {1: True, 2: False, 3: True, 4: True}) is False
 
 
@@ -62,13 +59,13 @@ def test_evaluate_missing_variable_raises():
 
 
 def test_substitute_iff_collapses_to_other_side():
-    result = substitute(Iff(Var(1), Var(2)), {1: True})
+    result = substitute(oracles.iff(Var(1), Var(2)), {1: True})
     assert 1 not in variables(result)
     assert equivalent(result, Var(2), vars=[2])
 
 
 def test_substitute_empty_is_identity():
-    phi = Or((And((x, Not(y))), Xor(y, z)))
+    phi = Or((And((x, Not(y))), oracles.xor(y, z)))
     assert substitute(phi, {}) == phi
 
 
@@ -90,8 +87,8 @@ def test_equivalent_negation_differs():
 
 def test_equivalent_xor_twist_preserves_matrix():
     # vars: x=1, y=2, a=3, b=4; map y to x xor y and b to a xor b
-    phi = And((Iff(Var(1), Var(3)), Iff(Var(2), Var(4))))
-    twisted = map_variables(phi, {2: Xor(Var(1), Var(2)), 4: Xor(Var(3), Var(4))})
+    phi = And((oracles.iff(Var(1), Var(3)), oracles.iff(Var(2), Var(4))))
+    twisted = map_variables(phi, {2: oracles.xor(Var(1), Var(2)), 4: oracles.xor(Var(3), Var(4))})
     assert equivalent(phi, twisted, vars=[1, 2, 3, 4])
 
 
@@ -219,8 +216,6 @@ def node_kinds(formula):
             stack.append(node.child)
         elif isinstance(node, (And, Or)):
             stack.extend(node.children)
-        elif isinstance(node, (Implies, Iff, Xor)):
-            stack += [node.left, node.right]
     return kinds
 
 
@@ -233,7 +228,9 @@ def test_truth_table_matches_the_oracle_bit_by_bit():
         if rng.random() < 0.1:
             clauses.append(())
         cnf, other = Cnf(tuple(clauses)), oracles.random_formula(rng, ids)
-        formula = rng.choice((And((other, cnf)), Implies(cnf, other), Xor(other, cnf), cnf))
+        formula = rng.choice(
+            (And((other, cnf)), oracles.implies(cnf, other), oracles.xor(other, cnf), cnf)
+        )
         seen |= node_kinds(formula)
         # one variable the formula may not mention, anywhere in the order
         order = ids + [len(ids) + 1]
@@ -242,13 +239,15 @@ def test_truth_table_matches_the_oracle_bit_by_bit():
         rows = oracles.truth_table(formula, order)
         assert table >> len(rows) == 0
         assert all((table >> p & 1) == row for p, row in enumerate(rows))
-    assert seen == {Const, Var, Not, And, Or, Cnf, Implies, Iff, Xor}
+    assert seen == {Const, Var, Not, And, Or, Cnf}
 
 
 def test_truth_table_over_an_empty_order():
     assert truth_table(TRUE, ()) == 1 and truth_table(FALSE, []) == 0
     assert truth_table(Cnf(()), ()) == 1 and truth_table(Cnf(((),)), ()) == 0
-    assert truth_table(Xor(TRUE, Not(FALSE)), ()) == 0
+    # unfolded constants are evaluated, not folded away first
+    assert truth_table(And((TRUE, Not(FALSE))), ()) == 1
+    assert truth_table(oracles.xor(TRUE, Not(FALSE)), ()) == 0
 
 
 def test_truth_table_rejects_a_variable_outside_the_order():
@@ -257,6 +256,14 @@ def test_truth_table_rejects_a_variable_outside_the_order():
     assert info.value.var == 3
     with pytest.raises(MissingAssignmentError, match="variable 1"):
         truth_table(x, ())
+
+
+def test_truth_table_rejects_an_order_that_repeats_a_variable():
+    # a second copy of x1 would own another bit of the play and win
+    with pytest.raises(ValueError, match="repeats variable 1"):
+        truth_table(x, (1, 1))
+    with pytest.raises(ValueError, match="repeats variable 2"):
+        truth_table(Or((x, y)), [2, 1, 3, 2])
 
 
 @st.composite
@@ -277,7 +284,7 @@ def formula_strategy(draw, max_var=6, depth=4):
     if node in (4, 5):
         kids = tuple(draw(child) for _ in range(draw(st.integers(2, 3))))
         return And(kids) if node == 4 else Or(kids)
-    return (Iff, Xor)[node - 6](draw(child), draw(child))
+    return (oracles.iff, oracles.xor)[node - 6](draw(child), draw(child))
 
 
 @settings(max_examples=150, deadline=None)

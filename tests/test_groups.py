@@ -6,7 +6,7 @@ import pytest
 
 from qsymbreak.detect import detect_symmetries
 from qsymbreak.errors import CapExceededError, ValidationError
-from qsymbreak.formulas import Not, Var, Xor, equivalent
+from qsymbreak.formulas import Not, Var, equivalent
 from qsymbreak.groups import (
     AdmissibleMap,
     SignedPermutation,
@@ -59,7 +59,7 @@ def test_non_bijective_map_violates_condition_one():
 
 def test_xor_map_is_admissible():
     g = AdmissibleMap.from_dict(
-        {1: Var(1), 2: Xor(Var(1), Var(2)), 3: Var(3), 4: Xor(Var(3), Var(4))}
+        {1: Var(1), 2: oracles.xor(Var(1), Var(2)), 3: Var(3), 4: oracles.xor(Var(3), Var(4))}
     )
     assert check_admissible(g, PREFIX_AABB).ok
 

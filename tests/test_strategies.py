@@ -6,7 +6,7 @@ import random
 import pytest
 
 from qsymbreak.errors import CapExceededError, ValidationError
-from qsymbreak.formulas import TRUE, And, Iff, Not, Or, Var
+from qsymbreak.formulas import TRUE, And, Not, Or, Var
 from qsymbreak import strategies
 from qsymbreak.groups import SignedPermutation
 from qsymbreak.qdimacs import EXISTS, FORALL, Prefix, QbfInstance
@@ -119,7 +119,7 @@ def test_strategy_value_accepts_formula_targets():
     copy = Strategy.from_tables(
         PREFIX_AE, EXISTENTIAL, {2: {(False,): False, (True,): True}}
     )
-    assert strategy_value((PREFIX_AE, Iff(Var(1), Var(2))), copy) is True
+    assert strategy_value((PREFIX_AE, oracles.iff(Var(1), Var(2))), copy) is True
 
 
 def test_strategy_value_rejects_prefix_mismatch():
@@ -212,7 +212,7 @@ def test_formula_outside_the_prefix_is_rejected(monkeypatch):
     for table_vars in TABLE_VARS_CASES:
         monkeypatch.setattr(strategies, "TABLE_VARS", table_vars)
         with pytest.raises(ValidationError, match="outside the prefix"):
-            qbf_truth((PREFIX_AE, Iff(Var(1), Var(3))))
+            qbf_truth((PREFIX_AE, oracles.iff(Var(1), Var(3))))
         with pytest.raises(ValidationError, match="outside the prefix"):
             qbf_truth((prefix_ea, Or((Not(Var(1)), Var(3)))))
 
