@@ -1,8 +1,10 @@
-"""Lex-leader breakers: formulas, clause encodings, cube encodings.
+"""Lex-leader breakers: the clause chain, its projection, the cube dual.
 
-On the equality gadget the full breaker simplifies to "not y": picking
-the lexicographically least strategy per orbit pins y to false while z
-stays free, and all four strategy orbits keep a representative.
+On the equality gadget the breaker for the Klein group {swap y z,
+negate y and z} is one chain of clauses per generator.  Projecting the
+chain variables away leaves "not y": picking the lexicographically least
+strategy per orbit pins y to false while z stays free, and all four
+strategy orbits keep a representative.
 """
 
 from qsymbreak import (
@@ -10,10 +12,10 @@ from qsymbreak import (
     SignedPermutation,
     Var,
     augment_instance,
+    breaker_formula,
     encode_existential_cnf,
     encode_universal_dnf,
     equivalent,
-    lex_leader_formula,
     parse_qdimacs,
     qbf_truth,
     semantic_orbits,
@@ -30,20 +32,20 @@ def main():
     negate_both = SignedPermutation.from_dict({1: 1, 2: -2, 3: -3})
     gens = [swap, negate_both]
 
-    psi = lex_leader_formula(instance.prefix, gens)
-    print(f"breaker has {len(psi.parts)} conjuncts,"
-          f" equivalent to Not(y): {equivalent(psi.formula, Not(Var(2)))}")
+    encoded = encode_existential_cnf(instance.prefix, gens)
+    print(f"CNF chain encoding: {len(encoded.clauses)} clauses,"
+          f" {len(encoded.aux_vars)} chain variables {encoded.aux_vars}")
+    for clause in encoded.clauses:
+        print(f"  {clause}")
+
+    psi = breaker_formula(encoded)
+    print(f"projection onto x, y, z equivalent to Not(y):"
+          f" {equivalent(psi.formula, Not(Var(2)), instance.prefix.variables)}")
 
     orbits = semantic_orbits(instance.prefix, gens)
     report = verify_breaker(instance.prefix, gens, psi)
     print(f"existential strategy orbits: {len(orbits)},"
           f" covered by the breaker: {report.covered}")
-
-    encoded = encode_existential_cnf(instance.prefix, gens)
-    print(f"\nCNF chain encoding: {len(encoded.clauses)} clauses,"
-          f" {len(encoded.aux_vars)} chain variables {encoded.aux_vars}")
-    for clause in encoded.clauses:
-        print(f"  {clause}")
 
     conjoined, _ = augment_instance(instance, encoded, "conjoin-cnf")
     print(f"truth before/after conjoining:"

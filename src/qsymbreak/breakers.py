@@ -1,32 +1,26 @@
-"""Lex-leader symmetry breakers and their CNF/DNF Tseitin encodings.
+"""Lex-leader symmetry breakers: Shatter chains, their projection,
+augmentation and verification.
 
-Given admissible signed permutations ``g`` of a prefix, the existential
-lex-leader breaker is
+For admissible signed permutations ``g`` of a prefix, the existential
+lex-leader breaker keeps, from every semantic orbit of existential
+strategies, the ones that play lexicographically minimal assignments.  It
+is written once, as one clause chain per group element in the linear shape
+of Shatter (Aloul, Sakallah & Markov, IEEE TC 2006).  Chain positions are
+the variables ``x_0..x_{m-1}`` that ``g`` moves, in prefix order, and the
+chain variable ``y_j`` means "the play agrees with its image on
+x_0..x_{j-1}": a unit clause asserts ``y_0``, implication clauses
+``(~y_j | ~x_j | g(x_j))`` enforce the breaker at existential positions,
+and per-position pairs extend the chain, recycling the implication at
+existential positions and testing equality at universal ones.  The chain
+stops at the last existential position; tautologies and duplicates are
+dropped.  The universal breaker is the existential one of the flipped
+prefix, negated clause by clause into cubes.
+
+The formula breaker psi is the chain's projection onto the prefix,
+``project_chain``; for the existential breaker it is
 
     psi = AND over existential positions i, AND over g:
           (AND_{j<i} (x_j <-> g(x_j)))  ->  (x_i -> g(x_i))
-
-which keeps, from every semantic orbit of existential strategies, the
-ones that play lexicographically minimal assignments.  Its pieces are
-clauses: a guard x_j <-> g(x_j) is the two-clause ``Cnf`` (~x_j | g(x_j))
-& (x_j | ~g(x_j)), a consequent x_i -> g(x_i) the one clause (~x_i |
-g(x_i)), and each term is ``~(AND guards) | consequent``.  The universal
-breaker is the negation of the existential breaker built for the flipped
-prefix.
-
-The clausal encoding introduces a chain of fresh variables ``y_0..y_k``
-per generator ``g``, in the linear shape of Shatter (Aloul, Sakallah &
-Markov, IEEE TC 2006).  Chain positions are the variables
-``x_0..x_{m-1}`` that ``g`` moves, in prefix order; a fixed position has
-a trivially true equality guard, exactly as in the formula breaker.
-``y_j`` means "the play agrees with its image on x_0..x_{j-1}": a unit
-clause asserts ``y_0``, implication clauses ``(~y_j | ~x_j | g(x_j))``
-enforce the breaker at existential positions, and per-position pairs
-extend the chain, either recycling the implication (existential
-positions) or testing equality directly (universal positions).  The
-chain stops at the last existential position, and tautologies and
-duplicates are dropped.  The universal encoding is the existential one
-built for the flipped prefix with every clause negated into a cube.
 """
 
 from __future__ import annotations
@@ -37,10 +31,10 @@ from functools import cached_property
 
 from .errors import CapExceededError, ValidationError
 from .formulas import (
+    FALSE,
     And,
     Cnf,
     Formula,
-    Not,
     Or,
     clauses_to_formula,
     conj,
@@ -50,7 +44,7 @@ from .formulas import (
     truth_table,
 )
 from .groups import CLOSURE_CAP, SignedPermutation, check_admissible
-from .qdimacs import EXISTS, FORALL, Prefix, QbfInstance, normalize_clause
+from .qdimacs import EXISTS, FORALL, Prefix, QbfInstance
 from .strategies import ENUMERATION_CAP, cap_bits, check_enumeration_cap, orbit_classes
 
 # per augment mode: the polarities of the encodings it takes, and how to say so
@@ -111,81 +105,25 @@ def select_group_elements(
 
 
 @dataclass(frozen=True)
-class BreakerFormula:
-    """A lex-leader breaker at the formula level.
-
-    ``parts`` holds one conjunct per instantiated group element; the
-    universal variant stores the conjuncts built for the flipped prefix
-    and realizes their negation.
-    """
-
-    polarity: str
-    parts: tuple[Formula, ...]
-    generators: tuple[SignedPermutation, ...]
-
-    def __post_init__(self):
-        if self.polarity not in (EXISTS, FORALL):
-            raise ValidationError(f"bad polarity {self.polarity!r}")
-
-    @cached_property
-    def formula(self) -> Formula:
-        core = conj(self.parts)
-        return core if self.polarity == EXISTS else Not(core)
-
-
-def _element_conjunct(prefix: Prefix, g: SignedPermutation) -> Formula:
-    terms: list[Formula] = []
-    guards: list[Formula] = []
-    for v in prefix.variables:
-        image = g.image(v)
-        if image == v:
-            continue
-        if prefix.quantifier_of(v) == EXISTS:
-            consequent = Cnf(((-v, image),))
-            terms.append(disj((neg(conj(guards)), consequent)))
-        guards.append(Cnf(((-v, image), (v, -image))))
-    return conj(terms)
-
-
-def lex_leader_formula(prefix: Prefix, generators) -> BreakerFormula:
-    """Build the existential lex-leader breaker for the given generators.
-
-    One conjunct per distinct non-identity generator (pass the output of
-    :func:`select_group_elements` to break with generator products too);
-    conjuncts exist only for existential positions, while the equality
-    guards range over all earlier positions.  Equality guards and
-    implications whose image equals the variable are trivially true and
-    omitted.  An empty selection yields the constant-true breaker.
-    """
-    elements = select_group_elements(_checked_generators(prefix, generators))
-    parts = tuple(_element_conjunct(prefix, g) for g in elements)
-    return BreakerFormula(EXISTS, parts, elements)
-
-
-def universal_lex_leader_formula(prefix: Prefix, generators) -> BreakerFormula:
-    """Build the universal breaker: the negated existential breaker of
-    the flipped prefix."""
-    base = lex_leader_formula(prefix.flipped(), generators)
-    return BreakerFormula(FORALL, base.parts, base.generators)
-
-
-@dataclass(frozen=True)
 class EncodedBreaker:
     """Clausal (or cube-level) Tseitin encoding of a lex-leader breaker.
 
     ``terms`` are clauses when ``polarity`` is existential and cubes when
     universal.  ``aux_slots`` records, for every fresh chain variable,
     the original-prefix block index after which it is quantified (-1
-    puts it in front of the first block).  ``prefix`` is the extended
-    prefix with the chain variables inserted.
+    puts it in front of the first block).
     """
 
     polarity: str
     terms: tuple[tuple[int, ...], ...]
     aux_slots: tuple[tuple[int, int], ...]
-    prefix: Prefix
     original_prefix: Prefix
-    generators: tuple[SignedPermutation, ...]
+
+    @cached_property
+    def prefix(self) -> Prefix:
+        """The original prefix with the chain variables inserted."""
+        slot_items = ((a, s, self.polarity) for a, s in self.aux_slots)
+        return _extended_prefix(self.original_prefix, slot_items)
 
     @property
     def aux_vars(self) -> tuple[int, ...]:
@@ -204,67 +142,48 @@ class EncodedBreaker:
         return self.terms
 
 
+def _sorted_pair(a: int, b: int) -> tuple[int, ...]:
+    """The clause a | b, sorted; empty for the tautology b = -a."""
+    if a == -b:
+        return ()
+    return (a,) if a == b else tuple(sorted((a, b), key=abs))
+
+
 def _chain_for_generator(
     prefix: Prefix, g: SignedPermutation, next_aux: int
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
-    """Emit the clause chain for one generator.
+    """The clause chain for one generator, and its [(aux, slot)].
 
-    Returns (clauses, [(aux, slot)]).  Chain positions are the variables
-    ``g`` moves, in prefix order; a fixed position would only copy the
-    previous chain variable into the next.  Nothing is emitted when ``g``
-    moves no existential variable, and the chain stops at the last moved
-    existential, so unused chain variables are never created.
+    Chain positions are the variables ``g`` moves, in prefix order; the
+    chain stops at the last moved existential, and is empty without one.
     """
-    positions = [v for v in prefix.variables if g.image(v) != v]
-    implication_ranks = [
-        rank for rank, v in enumerate(positions) if prefix.quantifier_of(v) == EXISTS
-    ]
-    if not implication_ranks:
+    quantifier = prefix.quantifier_of
+    moved = [(v, w, quantifier(v) == EXISTS) for v in prefix.variables if (w := g.image(v)) != v]
+    ranks = [r for r, (_, _, exists) in enumerate(moved) if exists]
+    if not ranks:
         return [], []
-    last = implication_ranks[-1]
-    aux = [next_aux + k for k in range(last + 1)]
-
-    clauses: list[tuple[int, ...]] = [(aux[0],)]
-    for rank in implication_ranks:
-        v = positions[rank]
-        clause = normalize_clause((-aux[rank], -v, g.image(v)))
-        assert clause is not None
-        clauses.append(clause)
-    for rank in range(1, last + 1):
-        v = positions[rank - 1]
-        image = g.image(v)
-        y_prev, y_cur = aux[rank - 1], aux[rank]
-        if prefix.quantifier_of(v) == EXISTS:
-            pair = ((y_cur, -y_prev, -v), (y_cur, -y_prev, image))
-        else:
-            pair = ((y_cur, -y_prev, -v, -image), (y_cur, -y_prev, v, image))
-        for raw in pair:
-            clause = normalize_clause(raw)
-            if clause is not None:
-                clauses.append(clause)
-
-    # y_rank is quantified after the block of the position before it
-    slots = [(y, prefix.block_index_of(v)) for y, v in zip(aux[1:], positions)]
+    aux = range(next_aux, next_aux + ranks[-1] + 1)
+    # chain variables are numbered past the prefix, so a sorted clause lists
+    # its prefix literals first and its chain literals in increasing order
+    clauses = [(aux[0],)]
+    clauses += [(*_sorted_pair(-v, w), -aux[r]) for r, (v, w, exists) in enumerate(moved) if exists]
+    for r, (v, w, exists) in enumerate(moved[: ranks[-1]], 1):
+        pairs = ((-v,), (w,)) if exists else (_sorted_pair(-v, -w), _sorted_pair(v, w))
+        clauses += [(*lits, -aux[r - 1], aux[r]) for lits in pairs if lits]
+    # y_r is quantified after the block of the position before it
+    slots = [(y, prefix.block_index_of(v)) for y, (v, _, _) in zip(aux[1:], moved)]
     return clauses, [(aux[0], -1), *slots]
 
 
 def _extended_prefix(prefix: Prefix, slot_items) -> Prefix:
     """Insert aux variables after their slots; -1 means before everything.
-
-    ``slot_items`` is an iterable of (aux, slot, quantifier).
-    """
-    per_slot: dict[int, list[tuple[int, str]]] = defaultdict(list)
-    for aux, slot, q in slot_items:
-        per_slot[slot].append((aux, q))
-    for items in per_slot.values():
-        items.sort()
-    pairs: list[tuple[str, tuple[int, ...]]] = []
-    for aux, q in per_slot.get(-1, ()):
-        pairs.append((q, (aux,)))
+    ``slot_items`` is an iterable of (aux, slot, quantifier)."""
+    per_slot: dict[int, list[tuple[str, tuple[int]]]] = defaultdict(list)
+    for aux, slot, q in sorted(slot_items):
+        per_slot[slot].append((q, (aux,)))
+    pairs = per_slot[-1]
     for bi, block in enumerate(prefix.blocks):
-        pairs.append((block.quantifier, block.variables))
-        for aux, q in per_slot.get(bi, ()):
-            pairs.append((q, (aux,)))
+        pairs += [(block.quantifier, block.variables), *per_slot[bi]]
     return Prefix.from_pairs(pairs)
 
 
@@ -273,9 +192,7 @@ def _fresh_start(prefix: Prefix, start_var: int | None) -> int:
     if start_var is None:
         return top + 1
     if start_var <= top:
-        raise ValidationError(
-            f"start_var {start_var} collides with prefix variables (max {top})"
-        )
+        raise ValidationError(f"start_var {start_var} collides with prefix variables (max {top})")
     return start_var
 
 
@@ -294,10 +211,7 @@ def _encode(
         terms.extend(clauses)
         slots.extend(gslots)
         next_aux += len(gslots)
-    extended = _extended_prefix(prefix, ((a, s, polarity) for a, s in slots))
-    return EncodedBreaker(
-        polarity, tuple(dict.fromkeys(terms)), tuple(slots), extended, prefix, gens
-    )
+    return EncodedBreaker(polarity, tuple(dict.fromkeys(terms)), tuple(slots), prefix)
 
 
 def encode_existential_cnf(
@@ -305,10 +219,9 @@ def encode_existential_cnf(
 ) -> EncodedBreaker:
     """Encode the existential lex-leader breaker as clauses.
 
-    Fresh chain variables are allocated sequentially from ``start_var``
-    (default: one past the largest prefix variable), per generator, and
-    quantified existentially right after the block of the position they
-    guard.
+    Fresh chain variables are numbered from ``start_var`` (default: one
+    past the largest prefix variable), generator by generator, and are
+    quantified existentially right after the block of the position they guard.
     """
     return _encode(prefix, generators, start_var, EXISTS)
 
@@ -316,12 +229,9 @@ def encode_existential_cnf(
 def encode_universal_dnf(
     prefix: Prefix, generators, start_var: int | None = None
 ) -> EncodedBreaker:
-    """Encode the universal lex-leader breaker as cubes.
-
-    Structurally this is the existential encoding for the flipped
-    prefix, negated clause by clause; the chain variables are quantified
-    universally at the same insertion points of the original prefix.
-    """
+    """Encode the universal lex-leader breaker as cubes: the existential
+    encoding for the flipped prefix, negated clause by clause, with the
+    chain variables quantified universally at the same points."""
     return _encode(prefix, generators, start_var, FORALL)
 
 
@@ -332,6 +242,92 @@ def encode_both(prefix: Prefix, generators) -> tuple[EncodedBreaker, EncodedBrea
     enc_e = encode_existential_cnf(prefix, generators)
     top = max((*prefix.variables, *enc_e.aux_vars), default=0)
     return enc_e, encode_universal_dnf(prefix, generators, start_var=top + 1)
+
+
+@dataclass(frozen=True)
+class BreakerFormula:
+    """A breaker's projection onto its original prefix, with its polarity."""
+
+    polarity: str
+    formula: Formula
+
+    def __post_init__(self):
+        if self.polarity not in (EXISTS, FORALL):
+            raise ValidationError(f"bad polarity {self.polarity!r}")
+
+
+def _clauses(rests) -> Formula:
+    """The clause list ``rests`` as one node, FALSE if a clause is empty."""
+    return Cnf(tuple(rests)) if all(rests) else FALSE
+
+
+def project_chain(clauses, chain) -> Formula:
+    """Exists-``chain`` of a clause list, as a formula over its other variables.
+
+    The clauses must be Horn in the chain variables, listed in definition
+    order: a clause whose one positive chain literal is ``y`` defines ``y``
+    from chain variables before it, and a clause without one is a goal.
+    The least value of each chain variable, the disjunction of its bodies,
+    decides the goals.  Any other shape raises ``ValidationError``.
+    """
+    rank = {y: k for k, y in enumerate(chain)}
+    # per chain variable, and for the goals: the clauses' other literals,
+    # grouped by the chain variables they read
+    definitions: list[dict[tuple[int, ...], list[tuple[int, ...]]]] = [{} for _ in rank]
+    goals: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for clause in clauses:
+        heads, reads, rest = [], [], []
+        for l in clause:
+            if l in rank:
+                heads.append(rank[l])
+            elif -l in rank:
+                reads.append(rank[-l])
+            else:
+                rest.append(l)
+        reads.sort()
+        if len(heads) > 1:
+            raise ValidationError(f"clause {clause} has {len(heads)} positive chain literals")
+        if heads and reads and reads[-1] >= heads[0]:
+            raise ValidationError(f"clause {clause} defines a chain variable from a later one")
+        group = definitions[heads[0]] if heads else goals
+        group.setdefault(tuple(reads), []).append(tuple(rest))
+
+    least: list[Formula] = []
+    for bodies in definitions:
+        # a body holds when its reads do and its other literals are false;
+        # every body of y_k reads y_{k-1}, and factoring shared reads out keeps
+        # the least values one chain, not a tree exponential in k
+        shared = set.intersection(*map(set, bodies)) if bodies else set()
+        cases = (
+            conj((*(least[j] for j in reads if j not in shared), neg(_clauses(rests))))
+            for reads, rests in bodies.items()
+        )
+        least.append(conj((*(least[j] for j in sorted(shared)), disj(cases))))
+    return conj(
+        disj((neg(conj([least[j] for j in reads])), _clauses(rests)))
+        for reads, rests in goals.items()
+    )
+
+
+def breaker_formula(encoded: EncodedBreaker) -> BreakerFormula:
+    """The formula breaker of an encoding: the projection of its clauses,
+    or the negated projection of its negated cubes."""
+    if encoded.polarity == EXISTS:
+        return BreakerFormula(EXISTS, project_chain(encoded.terms, encoded.aux_vars))
+    negated = (tuple(-l for l in cube) for cube in encoded.terms)
+    return BreakerFormula(FORALL, neg(project_chain(negated, encoded.aux_vars)))
+
+
+def lex_leader_formula(prefix: Prefix, generators) -> BreakerFormula:
+    """The existential breaker: ``encode_existential_cnf``'s projection.
+    An empty generator list yields the constant-true breaker."""
+    return breaker_formula(encode_existential_cnf(prefix, generators))
+
+
+def universal_lex_leader_formula(prefix: Prefix, generators) -> BreakerFormula:
+    """The universal breaker: ``encode_universal_dnf``'s projection, the
+    negated existential breaker of the flipped prefix."""
+    return breaker_formula(encode_universal_dnf(prefix, generators))
 
 
 def _merged_prefix(instance: QbfInstance, *encodings: EncodedBreaker) -> Prefix:
@@ -434,10 +430,7 @@ def verify_breaker(
     over the plays; ``cap`` bounds the player's strategy count, as in
     ``semantic_orbits``, and the plays.
     """
-    if isinstance(psi, BreakerFormula):
-        formula, pol = psi.formula, psi.polarity
-    else:
-        formula, pol = psi, EXISTS
+    formula, pol = (psi.formula, psi.polarity) if isinstance(psi, BreakerFormula) else (psi, EXISTS)
     target = pol == EXISTS
     # a polarity is the role it checks: EXISTENTIAL is EXISTS, UNIVERSAL FORALL
     check_enumeration_cap(prefix, pol, cap)

@@ -19,17 +19,17 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from .benchmarks import gen_kbkf, gen_random_qbf
 from .breakers import (
     augment_instance,
     augmented_formula,
+    breaker_formula,
     encode_both,
     encode_existential_cnf,
     encode_universal_dnf,
-    lex_leader_formula,
     select_group_elements,
-    universal_lex_leader_formula,
     verify_breaker,
 )
 from .detect import DEFAULT_BUDGET, detect_symmetries
@@ -165,67 +165,38 @@ def _cmd_verify(args) -> int:
     gens = _load_generators(args, instance)
     base = qbf_truth(instance)
 
-    psi_e = lex_leader_formula(instance.prefix, gens)
-    psi_u = universal_lex_leader_formula(instance.prefix, gens)
+    # every check concerns the chains that break writes: psi is their projection
     enc_e, enc_u = encode_both(instance.prefix, gens)
+    psi_e, psi_u = breaker_formula(enc_e), breaker_formula(enc_u)
 
+    truth_checks = (
+        ("existential breaker is a true QBF", (instance.prefix, psi_e.formula), True),
+        ("universal breaker is a false QBF", (instance.prefix, psi_u.formula), False),
+        ("truth preserved by conjoined CNF encoding",
+         augment_instance(instance, enc_e, "conjoin-cnf")[0], base),
+        ("truth preserved by attached DNF encoding",
+         augmented_formula(instance, universal=enc_u), base),
+        ("truth preserved by combined encoding", augmented_formula(instance, enc_e, enc_u), base),
+    )
     checks = [
-        {
-            "name": "existential breaker is a true QBF",
-            "ok": qbf_truth((instance.prefix, psi_e.formula)) is True,
-        },
-        {
-            "name": "universal breaker is a false QBF",
-            "ok": qbf_truth((instance.prefix, psi_u.formula)) is False,
-        },
-        {
-            "name": "truth preserved by conjoined CNF encoding",
-            "ok": qbf_truth(augment_instance(instance, enc_e, "conjoin-cnf")[0])
-            == base,
-        },
-        {
-            "name": "truth preserved by attached DNF encoding",
-            "ok": qbf_truth(augmented_formula(instance, universal=enc_u)) == base,
-        },
-        {
-            "name": "truth preserved by combined encoding",
-            "ok": qbf_truth(augmented_formula(instance, enc_e, enc_u)) == base,
-        },
+        {"name": name, "ok": qbf_truth(target) == expected}
+        for name, target, expected in truth_checks
     ]
     # orbit coverage: one pass over the game tree per player builds the
     # orbit classes and counts their strategies, enumerating none
     for psi, name in ((psi_e, "existential"), (psi_u, "universal")):
         report = verify_breaker(instance.prefix, gens, psi, cap=args.cap)
-        checks.append(
-            {
-                "name": f"{name} orbit coverage",
-                "ok": report.ok,
-                "orbits": report.orbit_count,
-                "covered": report.covered,
-                "kept": report.kept,
-            }
-        )
+        checks.append({"name": f"{name} orbit coverage", "ok": report.ok,
+                       "orbits": report.orbit_count, "covered": report.covered,
+                       "kept": report.kept})
     all_ok = all(check["ok"] for check in checks)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "instance": args.instance,
-                    "truth": base,
-                    "generators": [format_generator(g) for g in gens],
-                    "checks": checks,
-                    "ok": all_ok,
-                },
-                indent=2,
-            )
-        )
+        generators = [format_generator(g) for g in gens]
+        print(json.dumps({"instance": args.instance, "truth": base, "generators": generators,
+                          "checks": checks, "ok": all_ok}, indent=2))
     else:
         for check in checks:
-            extra = (
-                f" ({check['covered']}/{check['orbits']} orbits)"
-                if "orbits" in check
-                else ""
-            )
+            extra = f" ({check['covered']}/{check['orbits']} orbits)" if "orbits" in check else ""
             print(f"{'PASS' if check['ok'] else 'FAIL'}  {check['name']}{extra}")
         print(f"{'ok' if all_ok else 'verification failed'}: {args.instance}")
     return EXIT_OK if all_ok else EXIT_VERIFY
@@ -374,6 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # input warnings are one line each, without Python's source location
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda msg, *_, **__: print(f"warning: {msg}", file=sys.stderr)
+        return _run(argv)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -249,26 +249,21 @@ def substitute(formula: Formula, partial: Mapping[int, bool]) -> Formula:
 
 
 def map_variables(formula: Formula, images: Mapping[int, Formula]) -> Formula:
-    """Substitute whole formulas for variables. Unmapped variables stay."""
-    if isinstance(formula, Const):
-        return formula
-    if isinstance(formula, Var):
-        return images.get(formula.id, formula)
-    if isinstance(formula, Not):
-        return neg(map_variables(formula.child, images))
-    if isinstance(formula, And):
-        return conj(map_variables(c, images) for c in formula.children)
-    if isinstance(formula, Or):
-        return disj(map_variables(c, images) for c in formula.children)
-    if isinstance(formula, Cnf):
-        if not all(isinstance(image, Const) for image in images.values()):
-            return conj(disj(map_variables(literal(l), images) for l in c) for c in formula.clauses)
-        # constant images restrict clause by clause: satisfied clauses go,
-        # false literals are stripped, and an empty clause settles the value
-        true_lits = {v if image.value else -v for v, image in images.items()}
-        assigned = true_lits | {-l for l in true_lits}
+    """Substitute whole formulas for variables. Unmapped variables stay.
+
+    Shared subtrees are mapped once, by node identity as in ``truth_table``,
+    and stay shared in the result.
+    """
+    # constant images restrict clause by clause: satisfied clauses go,
+    # false literals are stripped, and an empty clause settles the value
+    true_lits = {v if i.value else -v for v, i in images.items() if isinstance(i, Const)}
+    assigned = true_lits | {-l for l in true_lits}
+    constant = len(true_lits) == len(images)
+    memo: dict[int, Formula] = {}
+
+    def restrict(clauses: tuple[tuple[int, ...], ...]) -> Formula:
         out = []
-        for clause in formula.clauses:
+        for clause in clauses:
             if not assigned.isdisjoint(clause):
                 if not true_lits.isdisjoint(clause):
                     continue
@@ -277,7 +272,34 @@ def map_variables(formula: Formula, images: Mapping[int, Formula]) -> Formula:
                 return FALSE
             out.append(clause)
         return Cnf(tuple(out)) if out else TRUE
-    raise TypeError(f"not a formula node: {formula!r}")
+
+    def image_of(lit: int) -> Formula:
+        image = images.get(abs(lit), Var(abs(lit)))
+        return image if lit > 0 else neg(image)
+
+    def walk(node: Formula) -> Formula:
+        out = memo.get(id(node))
+        if out is not None:
+            return out
+        if isinstance(node, Const):
+            out = node
+        elif isinstance(node, Var):
+            out = images.get(node.id, node)
+        elif isinstance(node, Not):
+            out = neg(walk(node.child))
+        elif isinstance(node, (And, Or)):
+            out = (conj if isinstance(node, And) else disj)(map(walk, node.children))
+        elif isinstance(node, Cnf):
+            if constant:
+                out = restrict(node.clauses)
+            else:
+                out = conj(disj(map(image_of, c)) for c in node.clauses)
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+        memo[id(node)] = out
+        return out
+
+    return walk(formula)
 
 
 def variables(formula: Formula) -> frozenset[int]:

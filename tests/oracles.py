@@ -28,6 +28,32 @@ def xor(a: Formula, b: Formula) -> Formula:
     return And((Or((a, b)), Or((Not(a), Not(b)))))
 
 
+def literal(lit: int) -> Formula:
+    return Var(lit) if lit > 0 else Not(Var(-lit))
+
+
+def lex_leader_reference(prefix: Prefix, generators) -> Formula:
+    """The existential lex-leader breaker written out by hand, raw and
+    unfolded: for every distinct generator g and every existential x_i that
+    g moves, (AND over earlier moved x_j of x_j <-> g(x_j)) -> (x_i -> g(x_i))."""
+    terms = []
+    for g in dict.fromkeys(generators):
+        guards = []
+        for v in prefix.variables:
+            image = g.image(v)
+            if image == v:
+                continue
+            if prefix.quantifier_of(v) == EXISTS:
+                terms.append(implies(And(tuple(guards)), implies(Var(v), literal(image))))
+            guards.append(iff(Var(v), literal(image)))
+    return And(tuple(terms))
+
+
+def universal_lex_leader_reference(prefix: Prefix, generators) -> Formula:
+    """The universal breaker: the negated existential one of the flipped prefix."""
+    return Not(lex_leader_reference(prefix.flipped(), generators))
+
+
 def evaluate(formula: Formula, sigma: dict[int, bool]) -> bool:
     """Truth value by plain structural recursion over the six node kinds."""
     if isinstance(formula, Const):

@@ -164,9 +164,7 @@ def test_criterion_05_verification_duality():
         else:
             psi = lex_leader_formula(prefix, [g]).formula
         forward = verify_breaker(prefix, [g], psi).ok
-        dual = verify_breaker(
-            prefix.flipped(), [g], BreakerFormula(FORALL, (psi,), (g,))
-        ).ok
+        dual = verify_breaker(prefix.flipped(), [g], BreakerFormula(FORALL, Not(psi))).ok
         assert forward == dual
         outcomes.add(forward)
     report(

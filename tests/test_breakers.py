@@ -13,10 +13,12 @@ from qsymbreak.breakers import (
     EncodedBreaker,
     augment_instance,
     augmented_formula,
+    breaker_formula,
     encode_both,
     encode_existential_cnf,
     encode_universal_dnf,
     lex_leader_formula,
+    project_chain,
     select_group_elements,
     universal_lex_leader_formula,
     verify_breaker,
@@ -68,16 +70,21 @@ EXPECTED_SWAP_CLAUSES = {
 }
 
 
+def _chain_count(prefix, elements):
+    # every chain starts with its own unit clause
+    return sum(len(c) == 1 for c in encode_existential_cnf(prefix, elements).clauses)
+
+
 def test_displayed_breaker_for_a_swap():
     psi = lex_leader_formula(PREFIX_AEE, [SWAP])
-    assert len(psi.parts) == 1
+    assert _chain_count(PREFIX_AEE, [SWAP]) == 1
     assert psi.polarity == EXISTS
     assert equivalent(psi.formula, Not(Var(2)) | Var(3))
 
 
 def test_breaker_for_the_klein_generators_is_not_y():
     psi = lex_leader_formula(PREFIX_AEE, [SWAP, NEGATE_BOTH])
-    assert len(psi.parts) == 2
+    assert _chain_count(PREFIX_AEE, [SWAP, NEGATE_BOTH]) == 2
     assert equivalent(psi.formula, Not(Var(2)))
 
 
@@ -93,7 +100,7 @@ def test_product_selection_reaches_group_elements():
     negate_swap = SignedPermutation.from_dict({1: 1, 2: -3, 3: -2})
     assert set(elements) == {SWAP, NEGATE_BOTH, negate_swap}
     psi = lex_leader_formula(PREFIX_AEE, elements)
-    assert len(psi.parts) == 3
+    assert _chain_count(PREFIX_AEE, elements) == 3
     assert equivalent(psi.formula, Not(Var(2)))
 
 
@@ -204,9 +211,9 @@ def _satisfies(tau, lit):
 
 def test_encodings_project_onto_their_formula_breakers():
     # for every play sigma of the original variables: the clauses are
-    # satisfiable over the chain variables exactly when the existential
-    # formula breaker holds, and every chain assignment hits a cube
-    # exactly when the universal formula breaker holds
+    # satisfiable over the chain variables exactly when the hand-written
+    # existential breaker holds, and every chain assignment hits a cube
+    # exactly when the hand-written universal breaker holds
     rng = random.Random(1802)
     verdicts = []
     for _ in range(80):
@@ -214,8 +221,8 @@ def test_encodings_project_onto_their_formula_breakers():
         gens = [oracles.random_involution(rng, prefix) for _ in range(rng.randint(1, 3))]
         enc_e = encode_existential_cnf(prefix, gens)
         enc_u = encode_universal_dnf(prefix, gens)
-        psi_e = lex_leader_formula(prefix, gens).formula
-        psi_u = universal_lex_leader_formula(prefix, gens).formula
+        psi_e = oracles.lex_leader_reference(prefix, gens)
+        psi_u = oracles.universal_lex_leader_reference(prefix, gens)
         for values in itertools.product((False, True), repeat=prefix.n):
             sigma = dict(zip(prefix.variables, values))
             some_model = any(
@@ -226,12 +233,101 @@ def test_encodings_project_onto_their_formula_breakers():
                 any(all(_satisfies(tau, l) for l in c) for c in enc_u.cubes)
                 for tau in _chain_extensions(sigma, enc_u.aux_vars)
             )
-            assert some_model == evaluate(psi_e, sigma)
-            assert always_hit == evaluate(psi_u, sigma)
+            assert some_model == oracles.evaluate(psi_e, sigma)
+            assert always_hit == oracles.evaluate(psi_u, sigma)
             verdicts.append((some_model, always_hit))
     # each breaker keeps some plays and excludes others
     assert len(set(verdicts)) == 4
     assert len(verdicts) > 500
+
+
+def test_breakers_match_the_hand_written_reference():
+    # psi is read off the chain; the reference is written out directly
+    rng = random.Random(1803)
+    products = 0
+    for case in range(1000):
+        prefix = oracles.random_prefix(rng, rng.randint(1, 7))
+        gens = [oracles.random_involution(rng, prefix) for _ in range(rng.randint(1, 3))]
+        if case % 4 == 0:
+            gens = list(select_group_elements(gens, 2))
+            products += len(gens) > 3
+        order = prefix.variables
+        psi_e = lex_leader_formula(prefix, gens)
+        psi_u = universal_lex_leader_formula(prefix, gens)
+        assert (psi_e.polarity, psi_u.polarity) == (EXISTS, FORALL)
+        assert truth_table(psi_e.formula, order) == truth_table(
+            oracles.lex_leader_reference(prefix, gens), order
+        )
+        assert truth_table(psi_u.formula, order) == truth_table(
+            oracles.universal_lex_leader_reference(prefix, gens), order
+        )
+    assert products >= 50
+
+
+def test_breaker_formula_projects_an_encoded_pair():
+    rng = random.Random(1804)
+    for _ in range(40):
+        prefix = oracles.random_prefix(rng, rng.randint(1, 6))
+        gens = [oracles.random_involution(rng, prefix) for _ in range(rng.randint(1, 3))]
+        enc_e, enc_u = encode_both(prefix, gens)
+        assert breaker_formula(enc_e) == lex_leader_formula(prefix, gens)
+        psi_u = breaker_formula(enc_u)
+        assert psi_u.polarity == FORALL
+        assert equivalent(
+            psi_u.formula, universal_lex_leader_formula(prefix, gens).formula, prefix.variables
+        )
+
+
+def test_project_chain_accepts_a_horn_chain():
+    # y4 := True, y5 := y4 & x1, y6 := y5 & (x2 | ~x3); goals ~y5 | x2 and ~y6 | x3
+    clauses = [(4,), (5, -4, -1), (6, -5, -2), (6, -5, 3), (-5, 2), (-6, 3), (1, 2)]
+    projected = project_chain(clauses, [4, 5, 6])
+    x1, x2, x3 = Var(1), Var(2), Var(3)
+    expected = (x1 | x2) & (~x1 | x2) & (~(x1 & (x2 | ~x3)) | x3)
+    assert equivalent(projected, expected, [1, 2, 3])
+    assert project_chain([], []) == TRUE
+    assert project_chain([(1,), ()], []) == FALSE
+    # a chain variable without definitions is false
+    assert equivalent(project_chain([(-4, 1), (2, 3)], [4]), Var(2) | Var(3), [1, 2, 3])
+
+
+def test_project_chain_rejects_two_positive_chain_literals():
+    with pytest.raises(ValidationError, match="2 positive chain literals"):
+        project_chain([(4,), (4, 5, -1)], [4, 5])
+
+
+def test_project_chain_rejects_a_definition_from_a_later_variable():
+    with pytest.raises(ValidationError, match="later"):
+        project_chain([(5,), (4, -5, 1)], [4, 5])
+    with pytest.raises(ValidationError, match="later"):
+        project_chain([(4, -4, 1)], [4])
+
+
+def _tree_nodes(formula):
+    # tree size as a walk sees it: a shared subtree counts at every use,
+    # and a clause list counts one per literal
+    if isinstance(formula, (formulas.And, formulas.Or)):
+        return 1 + sum(map(_tree_nodes, formula.children))
+    if isinstance(formula, Not):
+        return 1 + _tree_nodes(formula.child)
+    if isinstance(formula, formulas.Cnf):
+        return 1 + sum(map(len, formula.clauses))
+    return 1
+
+
+def test_breakers_on_a_long_alternating_chain_stay_small():
+    # 20 positions in blocks of two, universal first, each pair swapped:
+    # the hand-written breakers had 586 and 483 tree nodes; substituting the
+    # least chain values without factoring out y_{k-1} gives millions
+    pairs = [(FORALL if b % 2 == 0 else EXISTS, [2 * b + 1, 2 * b + 2]) for b in range(10)]
+    prefix = Prefix.from_pairs(pairs)
+    swap = SignedPermutation.from_dict({v: v + 1 - 2 * ((v + 1) % 2) for v in range(1, 21)})
+    psi_e = lex_leader_formula(prefix, [swap]).formula
+    psi_u = universal_lex_leader_formula(prefix, [swap]).formula
+    assert _tree_nodes(psi_e) <= 2 * 586
+    assert _tree_nodes(psi_u) <= 2 * 483
+    assert qbf_truth((prefix, psi_e)) is True
+    assert qbf_truth((prefix, psi_u)) is False
 
 
 def test_existential_breakers_are_true_qbfs():
@@ -424,10 +520,10 @@ def test_generated_breakers_always_verify():
 
 
 def test_sub_conjunctions_still_verify():
+    # the breaker of one group element is one conjunct of the full breaker
     gens = [SWAP, NEGATE_BOTH]
-    psi = lex_leader_formula(PREFIX_AEE, gens)
-    for part in psi.parts:
-        assert verify_breaker(PREFIX_AEE, gens, part).ok
+    for g in gens:
+        assert verify_breaker(PREFIX_AEE, gens, lex_leader_formula(PREFIX_AEE, [g])).ok
     rng = random.Random(56)
     for _ in range(10):
         prefix = oracles.random_prefix(rng, rng.randint(2, 4))
@@ -437,8 +533,8 @@ def test_sub_conjunctions_still_verify():
         ]
         psi = lex_leader_formula(prefix, pair)
         assert verify_breaker(prefix, pair, psi).ok
-        for part in psi.parts:
-            assert verify_breaker(prefix, pair, part).ok
+        for g in dict.fromkeys(pair):
+            assert verify_breaker(prefix, pair, lex_leader_formula(prefix, [g])).ok
 
 
 def test_existential_universal_duality():
@@ -449,9 +545,7 @@ def test_existential_universal_duality():
         g = oracles.random_involution(rng, prefix)
         psi = oracles.random_formula(rng, list(prefix.variables))
         here = verify_breaker(prefix, [g], psi).ok
-        there = verify_breaker(
-            prefix.flipped(), [g], BreakerFormula(FORALL, (psi,), (g,))
-        ).ok
+        there = verify_breaker(prefix.flipped(), [g], BreakerFormula(FORALL, Not(psi))).ok
         assert here == there
         ok_seen += here
         failed_seen += not here
@@ -490,7 +584,7 @@ def test_verify_breaker_matches_a_strategy_value_report():
         pol = rng.choice((EXISTS, FORALL))
         if rng.random() < 0.5:
             formula = oracles.random_formula(rng, list(prefix.variables))
-            psi = BreakerFormula(pol, (formula,), ())
+            psi = BreakerFormula(pol, formula if pol == EXISTS else Not(formula))
         else:
             make = lex_leader_formula if pol == EXISTS else universal_lex_leader_formula
             psi = make(prefix, gens)
@@ -508,7 +602,8 @@ def test_orbit_classes_agree_with_enumeration_on_random_breakers():
         prefix = oracles.random_prefix(rng, rng.randint(1, 4))
         gens = [oracles.random_involution(rng, prefix) for _ in range(rng.randint(1, 2))]
         pol = rng.choice((EXISTS, FORALL))
-        psi = BreakerFormula(pol, (oracles.random_formula(rng, list(prefix.variables)),), ())
+        formula = oracles.random_formula(rng, list(prefix.variables))
+        psi = BreakerFormula(pol, formula if pol == EXISTS else Not(formula))
         report = verify_breaker(prefix, gens, psi)
         assert report == enumerated_report(prefix, gens, psi.formula, pol)
         # every class holds as many strategies as its enumerated orbit
@@ -557,4 +652,4 @@ def test_verify_breaker_bounds_the_plays():
 
 def test_breaker_formula_validates_polarity():
     with pytest.raises(ValidationError):
-        BreakerFormula("x", (), ())
+        BreakerFormula("x", TRUE)

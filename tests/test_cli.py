@@ -554,6 +554,28 @@ def test_module_entry_point(package_env):
     assert proc.stdout.startswith("p cnf 4 5\n")
 
 
+FREE_VARS = "p cnf 3 1\ne 1 0\n1 2 3 0\n"
+
+
+def test_input_warnings_print_as_one_line(tmp_path, capsys, package_env):
+    path = write(tmp_path, "free.qdimacs", FREE_VARS)
+    shown = warnings.showwarning
+    code, out, err = run(capsys, "solve", path)
+    warning = "warning: free variables bound existentially: [2, 3]\n"
+    assert (code, out, err) == (0, "TRUE\n", warning)
+    # the scope ends with main: the caller's warning display is back
+    assert warnings.showwarning is shown
+    # the process prints it the same way, without Python's source location
+    proc = subprocess.run(
+        [sys.executable, "-m", "qsymbreak", "parse", path],
+        capture_output=True,
+        text=True,
+        env=package_env,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == warning
+
+
 # tokens that mutate a desk-size QDIMACS text: numbers stay small, so every
 # mutant stays cheap to detect, solve and verify
 MUTATION_TOKENS = [
