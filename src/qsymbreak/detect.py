@@ -16,17 +16,18 @@ Color refinement runs in synchronous rounds.  Internally a color is a
 cell label, increasing in color order with room for the cell's members: a
 cell splits in place, only its later fragments change label, and the next
 round examines only the cells next to those, since no other signature
-moved.  A search node is the refiner's own state, each vertex's label and
-each label's members.  Individualizing a vertex is refinement from a new
-singleton cell: the vertex moves to a label above every label in use, and
-the rounds start at the cells of its neighbors, the only signatures that
-changed.
+moved.  Refinement stops once every cell is a singleton.  A search node
+is the refiner's own state, each vertex's label and each label's members.
+Individualizing a vertex is refinement from a new singleton cell: the
+vertex moves to a label above every label in use, and the rounds start at
+the cells of its neighbors, the only signatures that changed.
 
 The search returns a generating set of the automorphism group, not the
 group itself: one first path of individualization and refinement, then,
 level by level from the bottom, one automorphism per orbit of the cell
 that the automorphisms found so far do not already join (the first-path
-search of nauty and saucy).  Every generator is checked as a graph
+search of nauty and saucy).  A discrete root ends it at once, since only
+the identity keeps every color.  Every generator is checked as a graph
 automorphism and, after conversion, as a syntactic symmetry.
 """
 
@@ -36,7 +37,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, groupby, permutations, product
-from math import factorial
+from math import factorial, prod
 
 from .errors import CapExceededError, ValidationError
 from .groups import SignedPermutation, is_syntactic_symmetry
@@ -81,21 +82,19 @@ def build_symmetry_graph(instance: QbfInstance) -> ColoredGraph:
     one vertex, in order of first appearance, colored ``b + m - 1`` for
     ``b`` blocks when the matrix lists it ``m`` times.
     """
-    prefix = instance.prefix
+    blocks = instance.prefix.blocks
     vertex: dict[int, int] = {}
     colors: list[int] = []
-    adjacency: list[list[int]] = []
-    for i, v in enumerate(prefix.variables):
-        vertex[v], vertex[-v] = 2 * i, 2 * i + 1
-        b = prefix.block_index_of(v)
-        colors += [b, b]
-        adjacency += [[2 * i + 1], [2 * i]]
-
-    clause_color = len(prefix.blocks)
-    multiplicity = Counter(frozenset(c) for c in instance.clauses)
-    for cv, (lits, m) in enumerate(multiplicity.items(), start=len(colors)):
-        colors.append(clause_color + m - 1)
-        row = sorted(vertex[lit] for lit in lits)
+    for b, block in enumerate(blocks):
+        for v in block.variables:
+            vertex[v], vertex[-v] = len(colors), len(colors) + 1
+            colors += [b, b]
+    adjacency: list = [[i ^ 1] for i in range(len(colors))]
+    # a clause's sorted literal vertices are both its key and its row
+    key = vertex.__getitem__
+    multiplicity = Counter(tuple(sorted(set(map(key, c)))) for c in instance.clauses)
+    for cv, (row, m) in enumerate(multiplicity.items(), start=len(colors)):
+        colors.append(len(blocks) + m - 1)
         adjacency.append(row)
         for lv in row:
             adjacency[lv].append(cv)
@@ -116,7 +115,8 @@ def refine_colors(
     refine to colorings related by that same automorphism with identical
     ids, which makes cell structures comparable across search branches.
     Refining an already stable coloring returns it unchanged.  The rounds
-    of the module docstring give the ids of full passes to the fixpoint.
+    of the module docstring, which stop at a discrete coloring, give the
+    ids of full passes to the fixpoint.
     """
     return _ids(_refined(graph, colors)[0])
 
@@ -168,6 +168,8 @@ def _refine_rounds(adj, labels: list[int], cells: dict[int, list[int]], touched)
                     labels[v] = start
                 changed += fragment
                 start += len(fragment)
+        if len(cells) == len(labels):  # discrete: nothing left to split
+            return
         touched = {labels[u] for v in changed for u in adj[v]}
 
 
@@ -300,6 +302,8 @@ def find_automorphisms(
 
     group_order = 1
     node = _refined(graph)
+    if len(node[1]) == n:  # a discrete root: only the identity
+        return AutomorphismResult((), True, 0, 1)
     try:
         while (cell := _target_cell(node[1])) is not None:
             path.append((node[0], by_color(node[1])))
@@ -435,32 +439,24 @@ def brute_force_symmetries(
     ``2^k * k!`` over block sizes ``k``.
     """
     prefix = instance.prefix
-    total = 1
-    for block in prefix.blocks:
-        k = len(block.variables)
-        total *= factorial(k) * 2**k
+    total = prod(factorial(len(b.variables)) * 2 ** len(b.variables) for b in prefix.blocks)
     if total > cap:
         raise CapExceededError(
             f"{total} block-respecting signed permutations exceed cap {cap}"
         )
 
-    block_options: list[list[tuple[tuple[int, int], ...]]] = []
-    for block in prefix.blocks:
-        variables = block.variables
-        options = []
-        for image in permutations(variables):
-            for signs in product((1, -1), repeat=len(variables)):
-                options.append(
-                    tuple((v, s * w) for v, s, w in zip(variables, signs, image))
-                )
-        block_options.append(options)
+    block_options = [
+        [
+            tuple((v, s * w) for v, s, w in zip(block.variables, signs, image))
+            for image in permutations(block.variables)
+            for signs in product((1, -1), repeat=len(block.variables))
+        ]
+        for block in prefix.blocks
+    ]
 
     out: list[SignedPermutation] = []
     for combo in product(*block_options):
-        mapping = {v: w for part in combo for v, w in part}
-        g = SignedPermutation.from_dict(mapping)
-        if g.is_identity:
-            continue
-        if is_syntactic_symmetry(g, instance):
+        g = SignedPermutation.from_dict({v: w for part in combo for v, w in part})
+        if not g.is_identity and is_syntactic_symmetry(g, instance):
             out.append(g)
     return tuple(out)

@@ -214,16 +214,15 @@ def check_admissible(
 def is_syntactic_symmetry(g: SignedPermutation, instance: QbfInstance) -> bool:
     """Does g map the clause multiset to itself?
 
-    Clauses are compared as sorted literal sets, however the instance
-    lists them.  This is sufficient for g to map the matrix to an
-    equivalent matrix, but not necessary.
+    Clauses are compared as literal sets, however the instance lists
+    them, one holding l and -l included.  This is sufficient for g to map
+    the matrix to an equivalent matrix, but not necessary.
     """
     report = check_admissible(g, instance.prefix)
     if not report.ok:
         raise ValidationError(f"generator is not admissible: {report.violations}")
-    return sorted(g.apply_to_clauses(instance.clauses)) == sorted(
-        map(normalize_clause, instance.clauses)
-    )
+    sets = instance._literal_sets
+    return tuple(sorted(tuple(sorted(map(g.image_of_literal, c))) for c in sets)) == sets
 
 
 def group_closure(

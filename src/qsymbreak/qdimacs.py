@@ -150,6 +150,10 @@ class QbfInstance:
     def _formula(self) -> Formula:
         return clauses_to_formula(self.clauses)
 
+    @cached_property
+    def _literal_sets(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(sorted(tuple(sorted(set(c))) for c in self.clauses))
+
     def to_formula(self) -> Formula:
         return self._formula
 

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from itertools import permutations
 from math import factorial
 
@@ -73,14 +74,20 @@ def test_graph_counts_on_random_instances():
     rng = random.Random(33)
     for _ in range(50):
         inst = oracles.random_instance(rng, rng.randint(1, 8), rng.randint(0, 10))
-        inst = QbfInstance(inst.prefix, inst.clauses + inst.clauses[:2])
+        # copies as given, reordered and with a repeated literal, then l or -l
+        v = inst.prefix.variables[-1]
+        copies = inst.clauses[:2] + tuple(c[::-1] for c in inst.clauses[:2])
+        copies += tuple(c + c[:1] for c in inst.clauses[2:3]) + ((v, -v),)
+        inst = QbfInstance(inst.prefix, inst.clauses + copies)
         graph = build_symmetry_graph(inst)
-        distinct = {frozenset(c) for c in inst.clauses}
+        multiplicity = Counter(frozenset(c) for c in inst.clauses)
         n = inst.prefix.n
-        assert graph.n_vertices == 2 * n + len(distinct)
-        assert len(graph.edges) == n + sum(len(c) for c in distinct)
+        assert graph.n_vertices == 2 * n + len(multiplicity)
+        assert len(graph.edges) == n + sum(len(c) for c in multiplicity)
         assert all(list(row) == sorted(row) for row in graph.adjacency)
         assert all(graph.has_edge(v, u) for u, v in graph.edges)
+        blocks = len(inst.prefix.blocks)
+        assert graph.colors[2 * n:] == tuple(blocks + m - 1 for m in multiplicity.values())
 
 
 def test_refinement_is_idempotent():
@@ -248,7 +255,45 @@ def test_search_on_asymmetric_instance_is_empty():
     result = find_automorphisms(build_symmetry_graph(PINNED))
     assert result.complete
     assert result.permutations == ()
+    assert result.order == 1
+    assert result.nodes_expanded == 0  # the root refines to a discrete coloring
     assert detect_symmetries(PINNED).generators == ()
+
+
+def test_large_asymmetric_instance_ends_at_its_discrete_root():
+    rng = random.Random(1000)
+    prefix = Prefix.from_pairs([(EXISTS, range(1, 501)), (FORALL, range(501, 1001))])
+    inst = QbfInstance(prefix, tuple(oracles.random_clauses(rng, 1000, 5000)))
+    result = detect_symmetries(inst)
+    assert result.generators == ()
+    assert result.complete
+    assert result.nodes_expanded == 0
+    assert result.group_order == 1
+
+
+def test_tautological_clauses_keep_the_group():
+    rng = random.Random(616)
+    checked = 0
+    for _ in range(40):
+        inst = oracles.random_instance(rng, rng.randint(1, 5), rng.randint(0, 5))
+        v = rng.choice(inst.prefix.variables)
+        clauses = list(inst.clauses) + [(v, -v)]
+        rng.shuffle(clauses)
+        inst = QbfInstance(inst.prefix, tuple(clauses))
+        try:
+            reference = brute_force_symmetries(inst, cap=50_000)
+        except CapExceededError:
+            continue
+        checked += 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DetectionWarning)
+            result = detect_symmetries(inst, budget=200_000)
+        assert result.complete
+        identity = SignedPermutation.identity(inst.prefix.variables)
+        closure = set(group_closure(result.generators or [identity]))
+        assert closure == set(reference) | {identity}
+        assert result.group_order == len(closure)
+    assert checked >= 30
 
 
 def test_detected_group_contains_the_copy_gadget_swap():

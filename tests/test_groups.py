@@ -117,6 +117,30 @@ def test_sign_flip_on_unit_clause_is_not_a_symmetry():
     assert not equivalent(phi, flip.apply_to_formula(phi), vars=inst.prefix.variables)
 
 
+def test_instance_side_of_the_symmetry_check_is_built_once():
+    class CountedClauses(tuple):
+        reads = 0
+
+        def __iter__(self):
+            CountedClauses.reads += 1
+            return super().__iter__()
+
+    inst = QbfInstance(prefix=PREFIX_AABB, clauses=CountedClauses(MATRIX_AABB))
+    CountedClauses.reads = 0
+    swap = SignedPermutation.from_dict({1: 2, 2: 1, 3: 4, 4: 3})
+    for g in (swap, swap, SignedPermutation.identity(PREFIX_AABB.variables)):
+        assert is_syntactic_symmetry(g, inst)
+    assert CountedClauses.reads == 1
+
+
+def test_tautological_clause_is_compared_as_a_literal_set():
+    inst = QbfInstance(Prefix.from_pairs([(EXISTS, [1, 2])]), ((1, -1), (2, -2)))
+    for g in ({1: -1, 2: 2}, {1: 2, 2: -1}):
+        assert is_syntactic_symmetry(SignedPermutation.from_dict(g), inst)
+    lone = QbfInstance(inst.prefix, ((1, -1), (1, 2)))
+    assert not is_syntactic_symmetry(SignedPermutation.from_dict({1: -1, 2: 2}), lone)
+
+
 def test_inadmissible_generator_rejected():
     g = SignedPermutation.from_dict({1: 3, 2: 2, 3: 1, 4: 4})
     with pytest.raises(ValidationError):
