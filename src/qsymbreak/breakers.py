@@ -157,8 +157,9 @@ def _chain_for_generator(
     Chain positions are the variables ``g`` moves, in prefix order; the
     chain stops at the last moved existential, and is empty without one.
     """
-    quantifier = prefix.quantifier_of
-    moved = [(v, w, quantifier(v) == EXISTS) for v in prefix.variables if (w := g.image(v)) != v]
+    quantifier, position = prefix.quantifier_of, prefix._position.__getitem__
+    in_order = sorted(g.moved, key=lambda pair: position(pair[0]))
+    moved = [(v, w, quantifier(v) == EXISTS) for v, w in in_order]
     ranks = [r for r, (_, _, exists) in enumerate(moved) if exists]
     if not ranks:
         return [], []
@@ -197,9 +198,9 @@ def _fresh_start(prefix: Prefix, start_var: int | None) -> int:
 
 
 def _encode(
-    prefix: Prefix, generators, start_var: int | None, polarity: str
+    prefix: Prefix, gens: tuple[SignedPermutation, ...], start_var: int | None, polarity: str
 ) -> EncodedBreaker:
-    gens = _checked_generators(prefix, generators)
+    """The chains of the checked generators ``gens``."""
     chain_prefix = prefix if polarity == EXISTS else prefix.flipped()
     next_aux = _fresh_start(prefix, start_var)
     terms: list[tuple[int, ...]] = []
@@ -223,7 +224,7 @@ def encode_existential_cnf(
     past the largest prefix variable), generator by generator, and are
     quantified existentially right after the block of the position they guard.
     """
-    return _encode(prefix, generators, start_var, EXISTS)
+    return _encode(prefix, _checked_generators(prefix, generators), start_var, EXISTS)
 
 
 def encode_universal_dnf(
@@ -232,16 +233,17 @@ def encode_universal_dnf(
     """Encode the universal lex-leader breaker as cubes: the existential
     encoding for the flipped prefix, negated clause by clause, with the
     chain variables quantified universally at the same points."""
-    return _encode(prefix, generators, start_var, FORALL)
+    return _encode(prefix, _checked_generators(prefix, generators), start_var, FORALL)
 
 
 def encode_both(prefix: Prefix, generators) -> tuple[EncodedBreaker, EncodedBreaker]:
     """Encode both breakers, the universal chain numbered after the
     existential one, so that ``augment_instance``'s ``combined`` mode can
     put them on one prefix."""
-    enc_e = encode_existential_cnf(prefix, generators)
+    gens = _checked_generators(prefix, generators)
+    enc_e = _encode(prefix, gens, None, EXISTS)
     top = max((*prefix.variables, *enc_e.aux_vars), default=0)
-    return enc_e, encode_universal_dnf(prefix, generators, start_var=top + 1)
+    return enc_e, _encode(prefix, gens, top + 1, FORALL)
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,9 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, groupby, permutations, product
+from itertools import accumulate, chain, compress, groupby, permutations, product
 from math import factorial, prod
+from operator import ne
 
 from .errors import CapExceededError, ValidationError
 from .groups import SignedPermutation, is_syntactic_symmetry
@@ -347,17 +348,20 @@ def to_signed_permutations(perms, instance: QbfInstance) -> tuple[SignedPermutat
     literal pair of a single variable; the rest are discarded with a
     :class:`DetectionWarning`.  Automorphisms of the symmetry graph always
     keep the pairing; the check is for maps that callers supply.
-    Survivors are deduplicated, the identity is dropped, and every output
-    is checked to be a syntactic symmetry of the instance.
+    Survivors, built from the literal vertices they move, are deduplicated,
+    the identity is dropped, and every output is checked to be a syntactic
+    symmetry of the instance.
     """
-    variables = instance.prefix.variables
-    n_lits = 2 * len(variables)
+    variables, domain = instance.prefix.variables, instance.prefix.domain
+    lits = range(2 * len(variables))
     out: list[SignedPermutation] = []
     seen: set[SignedPermutation] = set()
     for perm in perms:
-        pos, neg = perm[0:n_lits:2], perm[1:n_lits:2]
-        if sorted(perm[:n_lits]) != list(range(n_lits)) or any(
-            b != a ^ 1 for a, b in zip(pos, neg)
+        moved = list(compress(lits, map(ne, perm, lits)))
+        images = [perm[a] for a in moved]
+        # the moved literal vertices map onto themselves, pairs onto pairs
+        if len(perm) < len(lits) or sorted(images) != moved or any(
+            perm[a ^ 1] != b ^ 1 for a, b in zip(moved, images)
         ):
             warnings.warn(
                 "discarded a vertex permutation that breaks literal pairing",
@@ -365,11 +369,12 @@ def to_signed_permutations(perms, instance: QbfInstance) -> tuple[SignedPermutat
                 stacklevel=2,
             )
             continue
-        mapping = {
-            v: -variables[a >> 1] if a & 1 else variables[a >> 1]
-            for v, a in zip(variables, pos)
-        }
-        g = SignedPermutation.from_dict(mapping)
+        pairs = sorted(
+            (variables[a >> 1], -variables[b >> 1] if b & 1 else variables[b >> 1])
+            for a, b in zip(moved, images)
+            if not a & 1
+        )
+        g = SignedPermutation(domain, tuple(pairs))
         if g.is_identity or g in seen:
             continue
         try:

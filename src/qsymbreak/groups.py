@@ -2,9 +2,12 @@
 
 Two representations coexist. SignedPermutation maps each variable to a
 literal (a variable with a sign) and is what detection and breaking use,
-since substituting literals into clauses keeps them clauses. AdmissibleMap
-maps variables to arbitrary formulas and exists for verification: it covers
-maps like y -> x xor y that are admissible but not literal-shaped.
+since substituting literals into clauses keeps them clauses. It stores only
+the variables it moves, as saucy does (Darga, Liffiton, Sakallah & Markov,
+DAC 2004), and everything here, the symmetry check included, works from
+them. AdmissibleMap maps variables to arbitrary formulas and exists for
+verification: it covers maps like y -> x xor y that are admissible but not
+literal-shaped.
 
 Admissibility means two things: the map commutes with evaluation (checked
 for general maps by testing that the induced action on total assignments is
@@ -16,82 +19,105 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from functools import cached_property
+from operator import lt
 from typing import Iterable, Mapping
 
 from .errors import CapExceededError, ValidationError
 from .formulas import Formula, evaluate, literal, map_variables, variables
-from .qdimacs import Prefix, QbfInstance, normalize_clause
+from .qdimacs import Prefix, QbfInstance
 
 ADMISSIBLE_VAR_CAP = 16
 CLOSURE_CAP = 10_000
 
 
+def _member(domain: tuple[int, ...], var: int) -> bool:
+    """Is ``var`` in the sorted tuple ``domain``?"""
+    i = bisect_left(domain, var)
+    return i < len(domain) and domain[i] == var
+
+
 @dataclass(frozen=True)
 class SignedPermutation:
-    """Bijection of variables onto signed variables, stored as sorted pairs."""
+    """Bijection of variables onto signed variables: its sorted ``domain``,
+    one tuple shared by the generators of an instance, and the sorted pairs
+    ``(v, image)`` of the variables it moves, which the map permutes; the
+    rest are fixed, so a generator costs what it moves, not the prefix."""
 
-    mapping: tuple[tuple[int, int], ...]
+    domain: tuple[int, ...] = field(hash=False)  # hashing it would cost the prefix
+    moved: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        domain = [v for v, _ in self.mapping]
-        if any(v < 1 for v in domain):
+        domain, sources = self.domain, [v for v, _ in self.moved]
+        if domain and domain[0] < 1:
             raise ValidationError("variables must be positive")
-        if list(domain) != sorted(set(domain)):
-            raise ValidationError("mapping must be sorted with unique variables")
-        images = [img for _, img in self.mapping]
-        if any(img == 0 for img in images):
-            raise ValidationError("image literal 0 is invalid")
-        if sorted(abs(img) for img in images) != list(domain):
-            raise ValidationError("image variables must permute the domain")
+        if not all(map(lt, domain, domain[1:])):
+            raise ValidationError("domain must be sorted with unique variables")
+        if not all(map(lt, sources, sources[1:])):
+            raise ValidationError("moved pairs must be sorted with unique variables")
+        if sorted([abs(img) for v, img in self.moved if img != v]) != sources:
+            raise ValidationError("every pair must move its variable onto a moved one")
+        if not all(map(_member, itertools.repeat(domain), sources)):
+            raise ValidationError("moved variables must lie in the domain")
 
     @classmethod
     def from_dict(cls, images: Mapping[int, int]) -> "SignedPermutation":
-        return cls(tuple(sorted(images.items())))
+        moved = sorted((v, img) for v, img in images.items() if img != v)
+        return cls(tuple(sorted(images)), tuple(moved))
 
     @classmethod
     def identity(cls, domain: Iterable[int]) -> "SignedPermutation":
-        return cls(tuple((v, v) for v in sorted(domain)))
+        return cls(tuple(sorted(domain)), ())
 
     @cached_property
-    def _table(self) -> dict[int, int]:
-        return dict(self.mapping)
+    def _images(self) -> dict[int, int]:
+        """The image of each literal of a moved variable."""
+        images = dict(self.moved)
+        for v, img in self.moved:
+            images[-v] = -img
+        return images
 
     @property
-    def domain(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.mapping)
+    def mapping(self) -> tuple[tuple[int, int], ...]:
+        """Every variable of the domain with its image, in variable order."""
+        domain = self.domain
+        return tuple(zip(domain, map(self._images.get, domain, domain)))
 
     @property
     def is_identity(self) -> bool:
-        return all(v == img for v, img in self.mapping)
+        return not self.moved
 
     def image(self, var: int) -> int:
         """Image literal of a (positive) variable."""
-        try:
-            return self._table[var]
-        except KeyError:
-            raise ValidationError(f"variable {var} outside mapping domain") from None
+        if var < 1:
+            raise ValidationError(f"variable {var} outside mapping domain")
+        return self.image_of_literal(var)
 
     def image_of_literal(self, lit: int) -> int:
-        img = self.image(abs(lit))
-        return img if lit > 0 else -img
+        img = self._images.get(lit)
+        if img is not None:
+            return img
+        if _member(self.domain, abs(lit)):
+            return lit
+        raise ValidationError(f"variable {abs(lit)} outside mapping domain")
 
     def apply_to_clause(self, clause: Iterable[int]) -> tuple[int, ...]:
-        mapped = normalize_clause(self.image_of_literal(l) for l in clause)
-        assert mapped is not None  # literal bijections cannot create tautologies
-        return mapped
+        """The image literal set, sorted by variable, a negative literal
+        before its positive one: a clause holding l and -l maps to one too."""
+        return tuple(sorted({self.image_of_literal(l) for l in clause}, key=lambda l: (abs(l), l)))
 
     def apply_to_clauses(self, clauses: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
         return tuple(self.apply_to_clause(c) for c in clauses)
 
     def apply_to_formula(self, formula: Formula) -> Formula:
-        return map_variables(formula, {v: literal(img) for v, img in self.mapping})
+        return map_variables(formula, {v: literal(img) for v, img in self.moved})
 
     def apply_to_assignment(self, sigma: Mapping[int, bool]) -> dict[int, bool]:
         """Pointwise image assignment: result(x) = value of image(x) under sigma."""
-        out = {}
-        for v, img in self.mapping:
+        out = {v: sigma[v] for v in self.domain}
+        for v, img in self.moved:
             value = sigma[abs(img)]
             out[v] = value if img > 0 else not value
         return out
@@ -100,15 +126,13 @@ class SignedPermutation:
         """self after other: (self . other)(x) = self(other(x))."""
         if self.domain != other.domain:
             raise ValidationError("cannot compose permutations over different domains")
-        return SignedPermutation(
-            tuple((v, self.image_of_literal(other.image(v))) for v in self.domain)
-        )
+        moved = {v for v, _ in (*self.moved, *other.moved)}
+        images = ((v, self.image_of_literal(other.image(v))) for v in moved)
+        return SignedPermutation(self.domain, tuple(sorted(p for p in images if p[0] != p[1])))
 
     def inverse(self) -> "SignedPermutation":
-        inv = {}
-        for v, img in self.mapping:
-            inv[abs(img)] = v if img > 0 else -v
-        return SignedPermutation.from_dict(inv)
+        inv = ((abs(img), v if img > 0 else -v) for v, img in self.moved)
+        return SignedPermutation(self.domain, tuple(sorted(inv)))
 
 
 @dataclass(frozen=True)
@@ -167,28 +191,22 @@ def check_admissible(
     maps by checking that sigma -> g(sigma) is a bijection over all total
     assignments, which needs len(prefix) <= cap. Signed permutations satisfy
     it structurally. Condition 2 requires each image to use only variables
-    from the source variable's quantifier block.
+    from the source variable's quantifier block; a signed permutation is
+    checked on the variables it moves.
     """
-    domain = set(g.domain)
-    prefix_vars = set(prefix.variables)
-    if domain != prefix_vars:
+    if g.domain != prefix.domain:
         raise ValidationError(
-            f"map domain {sorted(domain)} does not match prefix variables {sorted(prefix_vars)}"
+            f"map domain {list(g.domain)} does not match prefix variables {list(prefix.domain)}"
         )
 
-    violations: list[tuple[int, str]] = []
-    block_vars = [frozenset(b.variables) for b in prefix.blocks]
-    for v in prefix.variables:
-        block = block_vars[prefix.block_index_of(v)]
-        if isinstance(g, SignedPermutation):
-            used = {abs(g.image(v))}
-        else:
-            used = set(variables(g.image(v)))
-        stray = used - block
-        if stray:
-            violations.append(
-                (2, f"image of variable {v} uses {sorted(stray)} outside its quantifier block")
-            )
+    block = prefix._block_index.get
+    if isinstance(g, SignedPermutation):
+        strays = [(v, [abs(img)]) for v, img in g.moved if block(abs(img)) != block(v)]
+    else:
+        uses = ((v, variables(img)) for v, img in g.images)
+        strays = [(v, sorted(w for w in used if block(w) != block(v))) for v, used in uses]
+    message = "image of variable {} uses {} outside its quantifier block"
+    violations = [(2, message.format(v, stray)) for v, stray in strays if stray]
 
     if isinstance(g, AdmissibleMap):
         n = len(prefix.variables)
@@ -215,14 +233,18 @@ def is_syntactic_symmetry(g: SignedPermutation, instance: QbfInstance) -> bool:
     """Does g map the clause multiset to itself?
 
     Clauses are compared as literal sets, however the instance lists
-    them, one holding l and -l included.  This is sufficient for g to map
-    the matrix to an equivalent matrix, but not necessary.
+    them, one holding l and -l included.  Only the clauses that mention a
+    moved variable are compared: g fixes the others, and since the moved
+    variables are closed under g, it maps the compared ones among
+    themselves.  This is sufficient for g to map the matrix to an
+    equivalent matrix, but not necessary.
     """
     report = check_admissible(g, instance.prefix)
     if not report.ok:
         raise ValidationError(f"generator is not admissible: {report.violations}")
-    sets = instance._literal_sets
-    return tuple(sorted(tuple(sorted(map(g.image_of_literal, c))) for c in sets)) == sets
+    image = g._images.get
+    compared = [c for c in instance._literal_sets if not g._images.keys().isdisjoint(c)]
+    return sorted(tuple(sorted(map(image, c, c))) for c in compared) == compared
 
 
 def group_closure(
@@ -295,7 +317,7 @@ def format_generator(g: SignedPermutation) -> str:
     """
     visited: set[int] = set()
     cycles: list[str] = []
-    for v in g.domain:
+    for v, _ in g.moved:
         for start in (v, -v):
             if start in visited:
                 continue
@@ -325,7 +347,11 @@ def format_generator(g: SignedPermutation) -> str:
 
 def parse_generator(text: str, domain: Iterable[int]) -> SignedPermutation:
     """Inverse of format_generator over an explicit variable domain."""
-    domain = sorted(dict.fromkeys(domain))
+    return _parse_generator(text, tuple(sorted(set(domain))))
+
+
+def _parse_generator(text: str, domain: tuple[int, ...]) -> SignedPermutation:
+    """``parse_generator`` over a sorted domain tuple, which the result shares."""
     body = text.strip()
     if not body:
         raise ValidationError("empty generator line")
@@ -350,7 +376,7 @@ def parse_generator(text: str, domain: Iterable[int]) -> SignedPermutation:
             raise ValidationError(f"non-integer in cycle: {cycle_text!r}") from None
         if any(l == 0 for l in lits):
             raise ValidationError("literal 0 in cycle")
-        if any(abs(l) not in domain for l in lits):
+        if not all(_member(domain, abs(l)) for l in lits):
             raise ValidationError(f"cycle uses a variable outside the domain: {cycle_text!r}")
         if len(lits) == 1:
             lit = lits[0]
@@ -362,10 +388,8 @@ def parse_generator(text: str, domain: Iterable[int]) -> SignedPermutation:
         for i, lit in enumerate(lits):
             put(lit, lits[(i + 1) % len(lits)])
 
-    images = {}
-    for v in domain:
-        images[v] = lit_map.get(v, v)
-    return SignedPermutation.from_dict(images)
+    moved = sorted((v, img) for v, img in lit_map.items() if v > 0 and img != v)
+    return SignedPermutation(domain, tuple(moved))
 
 
 def format_generators(gens: Iterable[SignedPermutation]) -> str:
@@ -374,11 +398,11 @@ def format_generators(gens: Iterable[SignedPermutation]) -> str:
 
 def parse_generators(text: str, domain: Iterable[int]) -> list[SignedPermutation]:
     """One generator per line; blank lines and 'c'/'#' comment lines skipped."""
-    domain = list(domain)
+    domain = tuple(sorted(set(domain)))
     out = []
     for line in text.splitlines():
         stripped = line.strip()
         if not stripped or stripped.startswith(("#", "c ")) or stripped == "c":
             continue
-        out.append(parse_generator(stripped, domain))
+        out.append(_parse_generator(stripped, domain))
     return out

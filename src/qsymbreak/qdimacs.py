@@ -95,8 +95,17 @@ class Prefix:
         return tuple(v for block in self.blocks for v in block.variables)
 
     @cached_property
+    def domain(self) -> tuple[int, ...]:
+        """The variables in increasing order, shared by signed permutations."""
+        return tuple(sorted(self.variables))
+
+    @cached_property
     def _block_index(self) -> dict[int, int]:
         return {v: bi for bi, block in enumerate(self.blocks) for v in block.variables}
+
+    @cached_property
+    def _position(self) -> dict[int, int]:
+        return {v: i for i, v in enumerate(self.variables)}
 
     @property
     def n(self) -> int:

@@ -311,23 +311,24 @@ def _play_orbits(
     Play p assigns the prefix variables the binary digits of p, the first
     variable most significant. Each generator is compiled once into the
     table of its images, built by doubling over the bit positions: the
-    image of p is a flip mask xor the images of p's set bits.
+    image of p is a flip mask xor the images of p's set bits, and only the
+    variables that the generator moves change a bit's image.
     """
     order = prefix.variables
     n = len(order)
     bit = {v: n - 1 - i for i, v in enumerate(order)}
     tables = []
     for g in generators:
-        if set(g.domain) != set(order):
+        if g.domain != prefix.domain:
             raise ValidationError("generators must act on exactly the prefix variables")
-        flip, moved = 0, [0] * n
-        for v, image in g.mapping:
+        flip, masks = 0, [1 << k for k in range(n)]
+        for v, image in g.moved:
             # the image play takes v's value from abs(image)'s, negated by a sign
-            moved[bit[abs(image)]] = 1 << bit[v]
+            masks[bit[abs(image)]] = 1 << bit[v]
             if image < 0:
                 flip |= 1 << bit[v]
         table = array("l", [flip])
-        for mask in moved:
+        for mask in masks:
             table.extend([p ^ mask for p in table])
         tables.append(table)
     ordinal = array("l", [-1]) * 2**n

@@ -122,17 +122,22 @@ def random_instance(rng: random.Random, n: int, m: int) -> QbfInstance:
     return QbfInstance(prefix=random_prefix(rng, n), clauses=tuple(random_clauses(rng, n, m)))
 
 
-def random_signed_perm(rng: random.Random, prefix: Prefix):
-    """Random block-respecting signed permutation (admissible by construction)."""
-    from qsymbreak.groups import SignedPermutation
-
+def random_signed_images(rng: random.Random, prefix: Prefix) -> dict[int, int]:
+    """Random block-respecting map of every variable to a literal."""
     images = {}
     for block in prefix.blocks:
         targets = list(block.variables)
         rng.shuffle(targets)
         for v, w in zip(block.variables, targets):
             images[v] = w if rng.random() < 0.5 else -w
-    return SignedPermutation.from_dict(images)
+    return images
+
+
+def random_signed_perm(rng: random.Random, prefix: Prefix):
+    """Random block-respecting signed permutation (admissible by construction)."""
+    from qsymbreak.groups import SignedPermutation
+
+    return SignedPermutation.from_dict(random_signed_images(rng, prefix))
 
 
 def random_involution(rng: random.Random, prefix: Prefix):
@@ -154,6 +159,18 @@ def random_involution(rng: random.Random, prefix: Prefix):
         g = SignedPermutation.from_dict(images)
         if not g.is_identity:
             return g
+
+
+def is_symmetry(images: dict[int, int], instance: QbfInstance) -> bool:
+    """Dense symmetry check: map every clause through the variable-to-literal
+    map ``images``, then compare the sorted multisets of literal sets."""
+
+    def image(lit: int) -> int:
+        return images[abs(lit)] if lit > 0 else -images[abs(lit)]
+
+    before = sorted(tuple(sorted(set(c))) for c in instance.clauses)
+    after = sorted(tuple(sorted({image(l) for l in c})) for c in instance.clauses)
+    return before == after
 
 
 def planted_instance(rng: random.Random, n: int, m: int):

@@ -525,6 +525,14 @@ def test_unsorted_clauses_keep_their_symmetries():
     assert result.group_order == 2
 
 
+def test_detected_generators_share_the_domain_and_move_little():
+    inst = free_block(200)
+    result = detect_symmetries(inst)
+    assert len(result.generators) == 399
+    assert all(len(g.moved) <= 2 for g in result.generators)
+    assert all(g.domain is inst.prefix.domain for g in result.generators)
+
+
 def test_long_first_path_needs_no_recursion(package_env):
     script = (
         "import sys\n"

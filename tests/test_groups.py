@@ -1,10 +1,12 @@
 """Signed permutations, admissible maps, closure, orbits, cycle notation."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
-from qsymbreak.detect import detect_symmetries
+from qsymbreak.detect import detect_symmetries, to_signed_permutations
 from qsymbreak.errors import CapExceededError, ValidationError
 from qsymbreak.formulas import Not, Var, equivalent
 from qsymbreak.groups import (
@@ -19,7 +21,7 @@ from qsymbreak.groups import (
     parse_generator,
     parse_generators,
 )
-from qsymbreak.qdimacs import EXISTS, FORALL, Prefix, QbfInstance
+from qsymbreak.qdimacs import EXISTS, FORALL, Prefix, QbfInstance, normalize_clause
 from qsymbreak.strategies import qbf_truth
 
 import oracles
@@ -342,3 +344,101 @@ def test_compose_applies_right_then_left():
     h = SignedPermutation.from_dict({1: -1, 2: 2})
     # (g . h)(1) = g(h(1)) = g(-1) = -2
     assert g.compose(h).image(1) == -2
+
+
+def test_support_only_check_matches_the_dense_check():
+    # random desk instances with repeated and tautological clauses, against
+    # planted symmetries, the identity, detected generators and random maps
+    rng = random.Random(1801)
+    outcomes = {True: 0, False: 0}
+    for _ in range(600):
+        inst, planted = oracles.planted_instance(rng, rng.randint(1, 7), rng.randint(0, 8))
+        clauses = list(inst.clauses)
+        clauses += rng.sample(clauses, rng.randint(0, len(clauses)))
+        v = rng.choice(inst.prefix.variables)
+        clauses += [(v, -v)] * rng.randint(0, 2)
+        rng.shuffle(clauses)
+        inst = QbfInstance(inst.prefix, tuple(clauses))
+        fixed = {v: v for v in inst.prefix.variables}
+        found = [planted, *detect_symmetries(inst).generators[:2]]
+        candidates = [(fixed, SignedPermutation.identity(fixed))]
+        candidates += [(fixed | dict(g.moved), g) for g in found]
+        for _ in range(3):
+            images = oracles.random_signed_images(rng, inst.prefix)
+            candidates.append((images, SignedPermutation.from_dict(images)))
+        for images, g in candidates:
+            expected = oracles.is_symmetry(images, inst)
+            assert is_syntactic_symmetry(g, inst) == expected
+            outcomes[expected] += 1
+    assert min(outcomes.values()) > 500
+
+
+def _vertex_permutation(images, prefix):
+    """The symmetry graph's literal-vertex permutation of a signed map."""
+    position = {v: i for i, v in enumerate(prefix.variables)}
+    perm = [0] * (2 * prefix.n)
+    for v, w in images.items():
+        a, b = 2 * position[v], 2 * position[abs(w)] + (w < 0)
+        perm[a], perm[a + 1] = b, b ^ 1
+    return tuple(perm)
+
+
+def test_signed_permutations_keep_only_what_they_move():
+    rng = random.Random(1802)
+    for _ in range(200):
+        prefix = oracles.random_prefix(rng, rng.randint(1, 8))
+        images = oracles.random_signed_images(rng, prefix)
+        g = SignedPermutation.from_dict(images)
+        # the detector's construction, over the prefix's shared domain
+        inst = QbfInstance(prefix, ())
+        detected = to_signed_permutations([_vertex_permutation(images, prefix)], inst)
+        assert detected == (() if g.is_identity else (g,))
+        for h in detected:
+            assert hash(h) == hash(g) and h.domain is prefix.domain
+        assert g.mapping == tuple(sorted(images.items()))
+        assert g.moved == tuple((v, w) for v, w in g.mapping if v != w)
+        assert g.domain == tuple(sorted(prefix.variables))
+
+
+def test_constructor_rejects_malformed_supports():
+    for domain, moved in [
+        ((1, 2), ((1, 1),)),  # a pair that does not move
+        ((1, 2), ((1, -1), (2, 2))),
+        ((1, 2), ((1, 3), (3, 1))),  # an image outside the domain
+        ((1, 2), ((2, -3), (3, 2))),
+        ((1, 2, 3), ((1, 3), (2, 3))),  # two variables with one image
+        ((1, 2, 3), ((1, 2), (2, -2))),
+        ((2, 1), ()),  # an unsorted domain
+        ((1, 2), ((2, 1), (1, 2))),  # unsorted pairs
+    ]:
+        with pytest.raises(ValidationError):
+            SignedPermutation(domain, moved)
+    assert SignedPermutation((1, 2), ((1, 2), (2, -1))).mapping == ((1, 2), (2, -1))
+
+
+def test_apply_to_clause_maps_a_tautology_to_one(package_env):
+    flip, swap = SignedPermutation.from_dict({1: -1, 2: 2}), SWAP_YZ
+    assert flip.apply_to_clause((1, -1)) == (-1, 1)
+    assert flip.apply_to_clause((2, -1, 1, 2)) == (-1, 1, 2)
+    assert swap.apply_to_clause((-2, 2, 3)) == (2, -3, 3)
+    # every other clause maps as the sorted, deduplicated image
+    rng = random.Random(1803)
+    for _ in range(300):
+        prefix = oracles.random_prefix(rng, rng.randint(1, 6))
+        g = oracles.random_signed_perm(rng, prefix)
+        (clause,) = oracles.random_clauses(rng, prefix.n, 1)
+        expected = normalize_clause(map(g.image_of_literal, clause))
+        assert g.apply_to_clause(clause + clause[:1]) == expected
+    script = (
+        "from qsymbreak.groups import SignedPermutation\n"
+        "print(SignedPermutation.from_dict({1: -1}).apply_to_clause((1, -1)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=package_env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "(-1, 1)"
