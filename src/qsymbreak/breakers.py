@@ -41,11 +41,16 @@ from .formulas import (
     cubes_to_formula,
     disj,
     neg,
-    truth_table,
 )
 from .groups import CLOSURE_CAP, SignedPermutation, check_admissible
 from .qdimacs import EXISTS, FORALL, Prefix, QbfInstance
-from .strategies import ENUMERATION_CAP, cap_bits, check_enumeration_cap, orbit_classes
+from .strategies import (
+    ENUMERATION_CAP,
+    cap_bits,
+    check_enumeration_cap,
+    orbit_classes,
+    prefix_table,
+)
 
 # per augment mode: the polarities of the encodings it takes, and how to say so
 _MODE_ENCODINGS = {
@@ -427,10 +432,11 @@ def verify_breaker(
     whose plays ``psi`` always holds; the universal dual asks for a
     universal strategy on whose plays ``psi`` never holds.  ``psi`` may
     be a :class:`BreakerFormula` (the polarity is taken from it) or a
-    plain formula, which is checked as an existential breaker.  The
-    orbits come from ``orbit_classes``, on one ``truth_table`` of ``psi``
-    over the plays; ``cap`` bounds the player's strategy count, as in
-    ``semantic_orbits``, and the plays.
+    plain formula, which is checked as an existential breaker.  ``psi`` is
+    read once, as its ``prefix_table`` over the plays.  The orbits are
+    the classes of the two families ``orbit_classes`` builds, all and
+    covered: the breaker passes when the two are one node.  ``cap`` bounds
+    the player's strategy count, as in ``semantic_orbits``, and the plays.
     """
     formula, pol = (psi.formula, psi.polarity) if isinstance(psi, BreakerFormula) else (psi, EXISTS)
     target = pol == EXISTS
@@ -440,18 +446,18 @@ def verify_breaker(
     if prefix.n >= cap_bits(cap):
         raise CapExceededError(f"2**{prefix.n} plays exceed enumeration cap {cap}")
     n = prefix.n
-    table = truth_table(formula, prefix.variables)
+    table = prefix_table(formula, prefix.variables)
     kept_plays = table if target else table ^ ((1 << 2**n) - 1)
-    classes, leasts = orbit_classes(prefix, generators, pol, kept_plays)
+    zdd, classes, covered, kept, leasts = orbit_classes(prefix, generators, pol, kept_plays)
 
     def plays(c: int) -> tuple[tuple[bool, ...], ...]:
-        # ordinals rise with the least plays, so the plays come out sorted
-        ordinals = (o for o, d in enumerate(reversed(f"{c:b}")) if d == "1")
-        return tuple(
-            tuple(bool(leasts[o] >> i & 1) for i in reversed(range(n))) for o in ordinals
-        )
+        out = []
+        while c:  # lowest ordinal first: ordinals rise with the least plays
+            least = leasts[(c & -c).bit_length() - 1]
+            out.append(tuple(bool(least >> i & 1) for i in reversed(range(n))))
+            c &= c - 1
+        return tuple(out)
 
-    uncovered = tuple(sorted(plays(c) for c, (_, k) in classes.items() if not k))
-    kept = sum(k for _, k in classes.values())
-    covered = len(classes) - len(uncovered)
-    return BreakerReport(not uncovered, pol, len(classes), covered, uncovered, kept)
+    uncovered = tuple(sorted(map(plays, zdd.sets(classes, without=covered))))
+    counts = zdd.count(classes), zdd.count(covered)
+    return BreakerReport(classes == covered, pol, *counts, uncovered, kept)

@@ -12,36 +12,39 @@ most significant) indexes its slot. The strategies of a player are then
 exactly the label vectors, which makes equality, hashing and enumeration
 cheap.
 
-The truth oracle is one memoized recursion over the outer variables of the
-prefix: it splits the next variable and short-circuits on its quantifier.
-Every matrix is a ``Formula``, an instance's clause list included, so one
-restriction, ``substitute``, serves every target; a matrix is settled once
-it folds to a constant. The innermost ``TABLE_VARS`` variables are not
-split: the matrix left over them is evaluated as one ``truth_table`` and
-its quantifiers are folded innermost first, a shift and one bitwise
-operation each.
+The truth oracle reads a prefix of at most ``TABLE_VARS`` variables off
+one ``truth_table`` of the matrix as given, and folds its quantifiers
+innermost first, a shift and one bitwise operation each; only a matrix
+that mentions a variable outside the prefix is constant-folded first
+(``prefix_table``). A longer prefix is split by one memoized recursion
+over its outer variables, which short-circuits on their quantifiers and
+restricts the matrix with ``substitute`` down to the innermost
+``TABLE_VARS`` variables, read off one table in turn.
 
 The module also computes semantic orbits: the partition of one player's
 strategies induced by a syntactic symmetry group acting path-wise. Two
 strategies share an orbit when their plays touch the same play orbits, so
 an orbit is named by that set of play orbits, its class. ``orbit_classes``
-builds the classes in one bottom-up pass over the game tree, counting
-strategies per class, without building any strategy; plays there are
-integers, and each generator is compiled once into a table of play
-indices. The enumerating ``semantic_orbits``, which walks each play's
-orbit from the generators, is the reference it is tested against.
+builds the family of all classes, and of those holding a strategy that a
+breaker keeps, as two nodes of one zero-suppressed decision diagram
+(``Zdd``) in one bottom-up pass over the game tree, without building any
+strategy; plays there are integers, and each generator is compiled once
+into a table of play indices. The enumerating ``semantic_orbits``, which
+walks each play's orbit from the generators, is the reference it is
+tested against.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError, MissingAssignmentError, ValidationError
 from .formulas import Const, Formula, evaluate, substitute, truth_table, variables
 from .qdimacs import EXISTS, FORALL, Prefix, QbfInstance
 from .groups import SignedPermutation, orbit_of_assignment
@@ -199,13 +202,42 @@ def strategy_value(target: QbfInstance | tuple[Prefix, Formula], s: Strategy) ->
     return all(values) if s.role == EXISTENTIAL else any(values)
 
 
+def _folded(formula: Formula, order: tuple[int, ...]) -> Formula:
+    """The formula with the constants folded that raw constructors may
+    leave; a variable outside ``order`` that survives raises."""
+    folded = substitute(formula, {})
+    if not variables(folded) <= set(order):
+        raise ValidationError("formula mentions variables outside the prefix")
+    return folded
+
+
+def prefix_table(formula: Formula, order: tuple[int, ...]) -> int:
+    """``truth_table`` over ``order`` of the formula as given, or of its
+    ``_folded`` form where it mentions a variable outside ``order``."""
+    try:
+        return truth_table(formula, order)
+    except MissingAssignmentError:
+        return truth_table(_folded(formula, order), order)
+
+
+def _quantified(table: int, universal: tuple[bool, ...]) -> bool:
+    """A table's value under its variables' quantifiers, folded innermost
+    first: ``t & (t >> b)`` for a universal variable and ``t | (t >> b)``
+    for an existential one, where b = 2**k for the variable at bit k."""
+    width = 1
+    for forall in reversed(universal):
+        table = table & (table >> width) if forall else table | (table >> width)
+        width <<= 1
+    return bool(table & 1)
+
+
 def qbf_truth(target: QbfInstance | tuple[Prefix, Formula], cap: int = TRUTH_VAR_CAP) -> bool:
     """Recursive game-semantics truth value with short-circuiting.
 
-    The recursion splits the outer variables; the innermost ``TABLE_VARS``
-    are evaluated as one truth table, folded innermost first: ``t & (t >>
-    b)`` for a universal variable and ``t | (t >> b)`` for an existential
-    one, where b = 2**k for the variable at bit k of a play.
+    A prefix of at most ``TABLE_VARS`` variables is one ``prefix_table``,
+    quantified by ``_quantified``. A longer one is split by the recursion
+    down to its innermost ``TABLE_VARS`` variables, whose restricted
+    matrix is then one table.
     """
     prefix, matrix = _split_target(target)
     if prefix.n > cap:
@@ -213,30 +245,20 @@ def qbf_truth(target: QbfInstance | tuple[Prefix, Formula], cap: int = TRUTH_VAR
     order = prefix.variables
     universal = tuple(prefix.quantifier_of(v) == FORALL for v in order)
     split = max(len(order) - TABLE_VARS, 0)
-    # fold once: raw constructors may leave constants an empty prefix never restricts
-    start = substitute(matrix, {})
-    if not variables(start) <= set(order):
-        raise ValidationError("formula mentions variables outside the prefix")
-
-    def fold(current: Formula) -> bool:
-        table = truth_table(current, order[split:])
-        width = 1
-        for forall in reversed(universal[split:]):
-            table = table & (table >> width) if forall else table | (table >> width)
-            width <<= 1
-        return bool(table & 1)
+    if not split:
+        return _quantified(prefix_table(matrix, order), universal)
 
     @cache
     def rec(idx: int, current: Formula) -> bool:
         if isinstance(current, Const):
             return current.value
         if idx == split:
-            return fold(current)
+            return _quantified(truth_table(current, order[split:]), universal[split:])
         v = order[idx]
         branches = (rec(idx + 1, substitute(current, {v: value})) for value in (False, True))
         return all(branches) if universal[idx] else any(branches)
 
-    return rec(0, start)
+    return rec(0, _folded(matrix, order))
 
 
 def common_path(s: Strategy, t: Strategy) -> dict[int, bool]:
@@ -299,9 +321,6 @@ def semantic_orbits(
     return list(buckets.values())
 
 
-Classes = dict[int, tuple[int, int]]
-
-
 def _play_orbits(
     prefix: Prefix, generators: Iterable[SignedPermutation]
 ) -> tuple[array, list[int]]:
@@ -348,56 +367,169 @@ def _play_orbits(
     return ordinal, leasts
 
 
+class _Deferred(Exception):
+    """A ``Zdd`` call that would recurse past ``Zdd.DEPTH`` frames."""
+
+
+class Zdd:
+    """Families of sets of ints as nodes of one zero-suppressed decision
+    diagram (Minato, DAC 1993). Node 0 is the empty family, node 1 is
+    {{}}, and node i > 1, ``nodes[i] = (v, lo, hi)``, holds the sets of lo
+    and those of hi with v added. Variables rise from a node to its
+    children, hi is never 0, and the unique table keeps one node per
+    triple, so equal families are equal ids. Union and join are memoized
+    recursions; a call ``DEPTH`` frames deep is deferred, computed from a
+    fresh stack, and its caller retried, so a diagram may be deeper than
+    the recursion limit.
+    """
+
+    DEPTH = 250
+
+    def __init__(self) -> None:
+        self.nodes = [(sys.maxsize, 0, 0)] * 2
+        self._unique: dict[tuple[int, int, int], int] = {}
+        self._unions: dict[tuple[int, int], int] = {}
+        self._joins: dict[tuple[int, int], int] = {}
+        self._counts = [0, 1]
+
+    def node(self, v: int, lo: int, hi: int) -> int:
+        """The family of the sets of lo and those of hi with v added."""
+        if not hi:
+            return lo
+        key = v, lo, hi
+        out = self._unique.get(key)
+        if out is None:
+            out = self._unique[key] = len(self.nodes)
+            self.nodes.append(key)
+        return out
+
+    def union(self, f: int, g: int) -> int:
+        """The sets of f or g."""
+        return self._call(self._union, f, g)
+
+    def join(self, f: int, g: int) -> int:
+        """Every union of a set of f and a set of g."""
+        return self._call(self._join, f, g)
+
+    def _call(self, op, f: int, g: int) -> int:
+        try:
+            return op(f, g, 0)
+        except _Deferred as deferred:
+            pending = [(op, f, g), deferred.args]
+        while pending:
+            op, f, g = pending[-1]
+            try:
+                out = op(f, g, 0)
+            except _Deferred as deferred:
+                pending.append(deferred.args)
+            else:
+                pending.pop()
+        return out
+
+    def _union(self, f: int, g: int, depth: int) -> int:
+        if f > g:
+            f, g = g, f
+        if not f or f == g:
+            return g
+        key = f, g
+        out = self._unions.get(key)
+        if out is None:
+            if depth == self.DEPTH:
+                raise _Deferred(self._union, f, g)
+            union, depth = self._union, depth + 1
+            if self.nodes[f][0] > self.nodes[g][0]:
+                f, g = g, f
+            (v, f0, f1), (w, g0, g1) = self.nodes[f], self.nodes[g]
+            if v < w:
+                out = self.node(v, union(f0, g, depth), f1)
+            else:
+                out = self.node(v, union(f0, g0, depth), union(f1, g1, depth))
+            self._unions[key] = out
+        return out
+
+    def _join(self, f: int, g: int, depth: int) -> int:
+        if f > g:
+            f, g = g, f
+        if f < 2:  # the empty family absorbs, and {{}} is the unit
+            return g if f else 0
+        key = f, g
+        out = self._joins.get(key)
+        if out is None:
+            if depth == self.DEPTH:
+                raise _Deferred(self._join, f, g)
+            join, union, depth = self._join, self._union, depth + 1
+            if self.nodes[f][0] > self.nodes[g][0]:
+                f, g = g, f
+            (v, f0, f1), (w, g0, g1) = self.nodes[f], self.nodes[g]
+            if v < w:
+                out = self.node(v, join(f0, g, depth), join(f1, g, depth))
+            else:  # a set with v takes it from f, from g, or from both
+                with_v = union(join(f1, union(g0, g1, depth), depth), join(f0, g1, depth), depth)
+                out = self.node(v, join(f0, g0, depth), with_v)
+            self._joins[key] = out
+        return out
+
+    def count(self, f: int) -> int:
+        """The number of sets in f; a node's children have smaller ids."""
+        counts, nodes = self._counts, self.nodes
+        for _, lo, hi in nodes[len(counts) : f + 1]:
+            counts.append(counts[lo] + counts[hi])
+        return counts[f]
+
+    def sets(self, f: int, without: int = 0) -> list[int]:
+        """The sets of f that are not in ``without``, a subfamily of f, each
+        as an int with bit v set for each variable v."""
+        out, stack = [], [(f, without, 0)]
+        while stack:
+            f, g, taken = stack.pop()
+            if f == 1 and g == 0:
+                out.append(taken)
+            elif f != g:  # then f > 1, and g has no variable below f's
+                (v, f0, f1), (w, g0, g1) = self.nodes[f], self.nodes[g]
+                stack.append((f0, g0 if v == w else g, taken))
+                stack.append((f1, g1 if v == w else 0, taken | 1 << v))
+        return out
+
+
 def orbit_classes(
     prefix: Prefix,
     generators: Iterable[SignedPermutation],
     role: str,
     kept: int,
-) -> tuple[Classes, list[int]]:
+) -> tuple[Zdd, int, int, int, list[int]]:
     """The orbit classes of one player's strategies, without enumerating them.
 
     A class is the set of play orbits that the strategies of one
-    ``semantic_orbits`` orbit touch, as an int with one bit per orbit
-    ordinal. Plays are integers as in ``_play_orbits``, and bit p of
-    ``kept`` accepts play p. Returns the map from each class to (strategies
-    in it, strategies all of whose plays ``kept`` accepts), and the least
-    play of each orbit by ordinal. One post-order pass over the game tree
-    builds the map: a play is one strategy of the class {its orbit}; at the
-    player's own variable a strategy follows one child, so the children's
-    maps merge and their counts add; at the opponent's it answers both, so
-    every pair of child classes joins and the counts multiply. The caller
-    bounds the work: ``verify_breaker`` caps the strategy count and the
-    plays.
+    ``semantic_orbits`` orbit touch. Plays are integers as in
+    ``_play_orbits``, and bit p of ``kept`` accepts play p. Returns a
+    ``Zdd`` over orbit ordinals with two of its nodes, the family of all
+    classes and that of the classes with a strategy all of whose plays
+    ``kept`` accepts, the number of such strategies, and the least play of
+    each orbit by ordinal. One post-order pass over the game tree builds
+    them: a play is one strategy of the class {its orbit}; at the player's
+    own variable a strategy follows one child, so families unite and counts
+    add; at the opponent's it answers both, so families join and counts
+    multiply. ``verify_breaker`` caps the strategy count and the plays.
     """
     order = prefix.variables
     n = len(order)
     own = [prefix.quantifier_of(v) == role for v in order]
     ordinal, leasts = _play_orbits(prefix, generators)
     accepts = f"{kept:0{2**n}b}"[::-1]  # character p is bit p
-
-    def join(depth: int, low: Classes, high: Classes) -> Classes:
-        if own[depth]:
-            out = dict(low)
-            pairs = high.items()
-        else:
-            out = {}
-            pairs = [
-                (a | b, (na * nb, ka * kb))
-                for a, (na, ka) in low.items()
-                for b, (nb, kb) in high.items()
-            ]
-        for key, (count, k) in pairs:
-            old = out.get(key)
-            out[key] = (count, k) if old is None else (old[0] + count, old[1] + k)
-        return out
-
+    zdd = Zdd()
+    leaves = [zdd.node(o, 0, 1) for o in range(len(leasts))]
     # plays in increasing order; a stack entry is a finished subtree and
-    # its depth, and two siblings on top join into their parent
-    stack: list[tuple[int, Classes]] = []
+    # its depth, and two siblings on top combine into their parent
+    stack: list[tuple[int, tuple[int, int, int]]] = []
     for p, o in enumerate(ordinal):
-        depth, node = n, {1 << o: (1, int(accepts[p] == "1"))}
+        leaf = leaves[o]
+        depth, node = n, (leaf, leaf, 1) if accepts[p] == "1" else (leaf, 0, 0)
         while stack and stack[-1][0] == depth:
             depth -= 1
-            node = join(depth, stack.pop()[1], node)
+            (f0, k0, c0), (f1, k1, c1) = stack.pop()[1], node
+            if own[depth]:
+                node = zdd.union(f0, f1), zdd.union(k0, k1), c0 + c1
+            else:
+                node = zdd.join(f0, f1), zdd.join(k0, k1), c0 * c1
         stack.append((depth, node))
-    return stack[0][1], leasts
+    return (zdd, *stack[0][1], leasts)

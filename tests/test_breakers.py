@@ -26,7 +26,7 @@ from qsymbreak.breakers import (
 from qsymbreak.benchmarks import gen_kbkf
 from qsymbreak.detect import detect_symmetries
 from qsymbreak.errors import CapExceededError, ValidationError
-from qsymbreak.formulas import FALSE, TRUE, Not, Var, equivalent, evaluate, truth_table
+from qsymbreak.formulas import FALSE, TRUE, Not, Or, Var, equivalent, evaluate, truth_table
 from qsymbreak.groups import (
     AdmissibleMap,
     SignedPermutation,
@@ -552,19 +552,20 @@ def test_existential_universal_duality():
     assert ok_seen and failed_seen
 
 
+def least_image(prefix, gens, sigma):
+    """The least value tuple, in prefix order, of the play orbit of sigma."""
+    order = prefix.variables
+    return min(tuple(image[v] for v in order) for image in orbit_of_assignment(gens, sigma))
+
+
 def enumerated_report(prefix, gens, formula, pol):
     """The report ``verify_breaker`` should give, built by enumerating
     every strategy and evaluating ``formula`` on every path of each."""
     target = pol == EXISTS
-    order = prefix.variables
-
-    def rep(sigma):
-        return min(tuple(image[v] for v in order) for image in orbit_of_assignment(gens, sigma))
-
     orbits = semantic_orbits(prefix, gens, role=pol)
     kept = [sum(strategy_value((prefix, formula), s) == target for s in orbit) for orbit in orbits]
     uncovered = sorted(
-        tuple(sorted({rep(sigma) for sigma in orbit[0].paths}))
+        tuple(sorted({least_image(prefix, gens, sigma) for sigma in orbit[0].paths}))
         for orbit, k in zip(orbits, kept)
         if not k
     )
@@ -605,12 +606,32 @@ def test_orbit_classes_agree_with_enumeration_on_random_breakers():
         formula = oracles.random_formula(rng, list(prefix.variables))
         psi = BreakerFormula(pol, formula if pol == EXISTS else Not(formula))
         report = verify_breaker(prefix, gens, psi)
-        assert report == enumerated_report(prefix, gens, psi.formula, pol)
-        # every class holds as many strategies as its enumerated orbit
-        classes, _ = orbit_classes(prefix, gens, pol, (1 << 2**prefix.n) - 1)
-        sizes = sorted(len(orbit) for orbit in semantic_orbits(prefix, gens, role=pol))
-        assert sorted(n for n, k in classes.values()) == sizes
-        assert all(n == k for n, k in classes.values())
+        expected = enumerated_report(prefix, gens, psi.formula, pol)
+        assert report == expected
+        # the family of all classes holds exactly the enumerated orbits'
+        # classes, and it is the covered family's node exactly when every
+        # orbit is covered
+        n, every_play = prefix.n, (1 << 2**prefix.n) - 1
+        table = truth_table(psi.formula, prefix.variables)
+        kept_plays = table if pol == EXISTS else table ^ every_play
+        zdd, classes, covered, _, leasts = orbit_classes(prefix, gens, pol, kept_plays)
+        as_plays = {
+            frozenset(
+                tuple(bool(leasts[o] >> i & 1) for i in reversed(range(n)))
+                for o in range(len(leasts))
+                if c >> o & 1
+            )
+            for c in zdd.sets(classes)
+        }
+        fingerprints = {
+            frozenset(least_image(prefix, gens, sigma) for sigma in orbit[0].paths)
+            for orbit in semantic_orbits(prefix, gens, role=pol)
+        }
+        assert as_plays == fingerprints
+        assert (classes == covered) == (expected.covered == expected.orbit_count)
+        # with every play kept, every strategy is
+        kept = orbit_classes(prefix, gens, pol, every_play)[3]
+        assert kept == count_strategies(prefix, pol)
         uncovered_seen[pol] += bool(report.uncovered)
     assert all(count >= 50 for count in uncovered_seen.values()), uncovered_seen
 
@@ -622,7 +643,7 @@ def test_verify_breaker_evaluates_psi_once_per_play():
     psi = lex_leader_formula(prefix, [swap])
     # psi is read once for all plays, as one truth table, and never per play
     with (
-        mock.patch.object(breakers, "truth_table", wraps=truth_table) as tables,
+        mock.patch.object(strategies, "truth_table", wraps=truth_table) as tables,
         mock.patch.object(formulas, "evaluate", wraps=evaluate) as evaluations,
         mock.patch.object(strategies, "evaluate", wraps=evaluate) as strategy_evaluations,
     ):
@@ -648,6 +669,53 @@ def test_verify_breaker_bounds_the_plays():
     assert (report.ok, report.orbit_count, report.covered, report.kept) == (False, 1, 0, 0)
     # the plays with x1 = x2 are their own orbits, the others pair up
     assert [len(c) for c in report.uncovered] == [2**13 + 2**12]
+
+
+def test_verify_breaker_reads_psi_as_the_truth_oracle_does():
+    # a variable outside the prefix is rejected, unless folding the
+    # constants of psi removes it
+    prefix = Prefix.from_pairs([(EXISTS, [1])])
+    with pytest.raises(ValidationError, match="outside the prefix"):
+        verify_breaker(prefix, [], Var(2))
+    with pytest.raises(ValidationError, match="outside the prefix"):
+        qbf_truth((prefix, Var(2)))
+    assert verify_breaker(prefix, [], Or((TRUE, Var(9)))).ok
+    assert qbf_truth((prefix, Or((TRUE, Var(9))))) is True
+
+
+def test_verify_breaker_decides_kbkf_past_the_strategy_counts():
+    # the breakers that `break` writes for the paper's family; t = 2 keeps
+    # the reports of the enumerating engine that the diagram replaced
+    reports = {}
+    for t, cap in ((2, 2**40), (3, 2**100)):
+        inst = gen_kbkf(t)
+        gens = detect_symmetries(inst).generators
+        for enc in encode_both(inst.prefix, gens):
+            report = verify_breaker(inst.prefix, gens, breaker_formula(enc), cap=cap)
+            assert report.ok and report.covered == report.orbit_count
+            reports[t, report.polarity] = report.orbit_count, report.kept
+    assert reports[2, EXISTS] == (2_396, 6_912)
+    assert reports[2, FORALL] == (135, 1_024)
+
+
+def test_deferred_diagram_calls_give_the_same_reports(monkeypatch):
+    # at Zdd.DEPTH 1, every call below the outermost one that misses the
+    # memo is deferred, computed on its own and its caller retried
+    rng = random.Random(61)
+    cases = []
+    for _ in range(60):
+        prefix = oracles.random_prefix(rng, rng.randint(1, 4))
+        gens = [oracles.random_involution(rng, prefix) for _ in range(rng.randint(0, 2))]
+        psi = oracles.random_formula(rng, list(prefix.variables))
+        cases.append((prefix, gens, BreakerFormula(rng.choice((EXISTS, FORALL)), psi), 2**20))
+    inst = gen_kbkf(2)
+    gens = detect_symmetries(inst).generators
+    encodings = encode_both(inst.prefix, gens)
+    cases += [(inst.prefix, gens, breaker_formula(enc), 2**40) for enc in encodings]
+    expected = [verify_breaker(*case) for case in cases]
+    monkeypatch.setattr(strategies.Zdd, "DEPTH", 1)
+    assert [verify_breaker(*case) for case in cases] == expected
+    assert any(not report.ok for report in expected) and any(report.ok for report in expected)
 
 
 def test_breaker_formula_validates_polarity():
