@@ -8,14 +8,18 @@ import warnings
 from collections import Counter
 from itertools import permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+from qsymbreak import detect
 from qsymbreak.benchmarks import gen_kbkf
 from qsymbreak.detect import (
+    ASYMMETRY_TEST_VERTICES,
     AutomorphismResult,
     ColoredGraph,
     DetectionWarning,
+    _asymmetric,
     _ids,
     _individualize,
     _refined,
@@ -26,16 +30,18 @@ from qsymbreak.detect import (
     refine_colors,
     to_signed_permutations,
 )
-from qsymbreak.errors import CapExceededError
+from qsymbreak.errors import CapExceededError, ValidationError
 from qsymbreak.groups import (
     SignedPermutation,
     check_admissible,
     group_closure,
     is_syntactic_symmetry,
 )
-from qsymbreak.qdimacs import EXISTS, FORALL, Prefix, QbfInstance
+from qsymbreak.qdimacs import EXISTS, FORALL, Prefix, QbfInstance, parse_qdimacs
 
 import oracles
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # single existential block, one clause (x or y)
 PAIR = QbfInstance(
@@ -251,6 +257,24 @@ def test_search_matches_vertex_brute_force_on_tiny_graph():
     assert set(find_automorphisms(graph).permutations) == expected
 
 
+def test_group_order_counts_the_orbit_not_the_cell():
+    # a 6-cycle beside two triangles: every vertex has degree 2, so the
+    # root keeps one cell of 12, but the first vertex's orbit has 6
+    edges = [(i, (i + 1) % 6) for i in range(6)]
+    edges += [(a + 6, b + 6) for a, b in ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))]
+    result = find_automorphisms(_graph(12, edges, [0] * 12))
+    closure, frontier = {tuple(range(12))}, [tuple(range(12))]
+    while frontier:
+        g = frontier.pop()
+        for h in result.permutations:
+            gh = tuple(h[x] for x in g)
+            if gh not in closure:
+                closure.add(gh)
+                frontier.append(gh)
+    assert result.complete
+    assert result.order == len(closure) == 12 * 72  # dihedral D6 times S3 wr S2
+
+
 def test_search_on_asymmetric_instance_is_empty():
     result = find_automorphisms(build_symmetry_graph(PINNED))
     assert result.complete
@@ -260,15 +284,122 @@ def test_search_on_asymmetric_instance_is_empty():
     assert detect_symmetries(PINNED).generators == ()
 
 
-def test_large_asymmetric_instance_ends_at_its_discrete_root():
+def test_large_asymmetric_instance_ends_at_its_discrete_root(monkeypatch):
     rng = random.Random(1000)
     prefix = Prefix.from_pairs([(EXISTS, range(1, 501)), (FORALL, range(501, 1001))])
     inst = QbfInstance(prefix, tuple(oracles.random_clauses(rng, 1000, 5000)))
+
+    def refined(*args):
+        raise AssertionError("the canonical root refinement ran")
+
+    # the asymmetry test ends the search before the canonical refinement
+    monkeypatch.setattr(detect, "_refined", refined)
     result = detect_symmetries(inst)
     assert result.generators == ()
     assert result.complete
     assert result.nodes_expanded == 0
     assert result.group_order == 1
+
+
+def _random_3cnf_graph(rng, n, m):
+    prefix = Prefix.from_pairs(
+        [(EXISTS, range(1, n // 3 + 1)), (FORALL, range(n // 3 + 1, 2 * n // 3 + 1)),
+         (EXISTS, range(2 * n // 3 + 1, n + 1))]
+    )
+    clauses = tuple(
+        tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+        for _ in range(m)
+    )
+    return build_symmetry_graph(QbfInstance(prefix, clauses))
+
+
+def _discrete(graph) -> bool:
+    return len(set(refine_colors(graph))) == graph.n_vertices
+
+
+def test_asymmetry_test_separates_only_what_refinement_separates():
+    # a True answer proves the canonical root discrete, on colored graphs
+    # that are not symmetry graphs and on symmetry graphs of desk instances
+    rng = random.Random(53)
+    answers = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        colors = [rng.randrange(rng.randint(1, 4)) for _ in range(n)]
+        inst = oracles.random_instance(rng, rng.randint(1, 8), rng.randint(0, 14))
+        inst = QbfInstance(inst.prefix, inst.clauses + inst.clauses[: rng.randint(0, 3)])
+        for graph in (
+            _random_graph(rng, n, rng.random() * 0.4, colors),
+            _symmetric_graph(rng),
+            build_symmetry_graph(inst),
+        ):
+            separated = _asymmetric(graph)
+            answers[separated] += 1
+            if separated:
+                assert _discrete(graph)
+    assert min(answers.values()) > 100
+
+
+def test_asymmetry_test_separates_random_3cnfs():
+    rng = random.Random(300)
+    for _ in range(10):
+        graph = _random_3cnf_graph(rng, 300, 1500)
+        assert _discrete(graph)
+        assert _asymmetric(graph)
+
+
+def test_asymmetry_test_leaves_malformed_colorings_to_the_refinement():
+    graph = _random_3cnf_graph(random.Random(5), 300, 1500)
+    assert graph.n_vertices >= ASYMMETRY_TEST_VERTICES
+    for colors in (graph.colors[:-1], graph.colors + (0,)):
+        with pytest.raises(ValidationError):
+            find_automorphisms(ColoredGraph(graph.n_vertices, graph.adjacency, colors))
+
+
+def _unchanged_by_the_asymmetry_test(monkeypatch, graphs):
+    """Assert that ``find_automorphisms`` returns on every graph, with the
+    test run at every size, what it returns with the test answering False."""
+    with monkeypatch.context() as patch:
+        patch.setattr(detect, "_asymmetric", lambda graph: False)
+        expected = [find_automorphisms(g) for g in graphs]
+    monkeypatch.setattr(detect, "ASYMMETRY_TEST_VERTICES", 0)
+    assert [find_automorphisms(g) for g in graphs] == expected
+
+
+def test_equal_weights_fall_back_to_the_canonical_root(monkeypatch):
+    # with every weight equal a round splits by degree alone, so the test
+    # answers False nearly always and the canonical path decides
+    rng = random.Random(41)
+    graphs = [_random_3cnf_graph(rng, 300, 1500) for _ in range(3)]
+    graphs += [build_symmetry_graph(gen_kbkf(t)) for t in (1, 4)]
+    graphs += [build_symmetry_graph(free_block(20)), build_symmetry_graph(pigeonhole(4, 3))]
+    graphs += [
+        build_symmetry_graph(oracles.random_instance(rng, rng.randint(1, 8), rng.randint(0, 14)))
+        for _ in range(100)
+    ]
+    calls = Counter()
+    refined = detect._refined
+
+    def counted(*args):
+        calls["refined"] += 1
+        return refined(*args)
+
+    monkeypatch.setattr(detect, "_weights", lambda n: [1] * n)
+    monkeypatch.setattr(detect, "_refined", counted)
+    _unchanged_by_the_asymmetry_test(monkeypatch, graphs)
+    assert calls["refined"] > 200  # both sides refined (nearly) every graph
+
+
+def test_asymmetry_test_changes_no_benchmark_result(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    texts = [
+        instance.text
+        for make in workloads.WORKLOADS.values()
+        for instance in make(1).instances
+    ]
+    graphs = [build_symmetry_graph(parse_qdimacs(text)) for text in texts]
+    _unchanged_by_the_asymmetry_test(monkeypatch, graphs)
 
 
 def test_tautological_clauses_keep_the_group():
