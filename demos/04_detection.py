@@ -3,7 +3,8 @@
 The instance encodes two independent copies of the same constraint:
 (x <-> a) and (y <-> b) under forall x y exists a b.  Swapping the
 copies is a syntactic symmetry, and the detector finds it from the
-colored literal-clause incidence graph alone.
+colored literal-clause incidence graph alone.  Each graph automorphism
+comes back as its support, the vertices it moves with their images.
 """
 
 from qsymbreak import (
@@ -40,6 +41,8 @@ def main():
           f" complete={automorphisms.complete},"
           f" {automorphisms.nodes_expanded} nodes expanded,"
           f" group order {automorphisms.order}")
+    print(f"first generator, as the (vertex, image) pairs it moves:"
+          f" {automorphisms.permutations[0]}")
 
     result = detect_symmetries(instance)
     print(f"detected generators (group order {result.group_order}):")

@@ -2,7 +2,10 @@
 
 Generate a KBKF instance (false, one symmetry per level), detect its
 group, break it for the existential player, and confirm the verdict is
-unchanged.  The same steps are available as shell commands:
+unchanged.  The breaker checked for orbit coverage is the projection of
+the very chain that was conjoined: "x1 implies x2" for the level
+symmetry, which swaps x1 and x2 and negates x3.  The same steps are
+available as shell commands:
 
     qsymbreak gen kbkf 1 -o k1.qdimacs
     qsymbreak detect k1.qdimacs
@@ -11,13 +14,17 @@ unchanged.  The same steps are available as shell commands:
 """
 
 from qsymbreak import (
+    Not,
+    Or,
+    Var,
     augment_instance,
+    breaker_formula,
     detect_symmetries,
     encode_existential_cnf,
+    equivalent,
     format_generator,
     gen_kbkf,
     kbkf_level_symmetry,
-    lex_leader_formula,
     qbf_truth,
     serialize_qdimacs,
     verify_breaker,
@@ -42,7 +49,9 @@ def main():
           f" over {broken.prefix.n} variables")
     print(f"truth value after breaking: {qbf_truth(broken)}")
 
-    psi = lex_leader_formula(instance.prefix, [g])
+    psi = breaker_formula(encoded)
+    print(f"projection onto the prefix equivalent to x1 -> x2:"
+          f" {equivalent(psi.formula, Or((Not(Var(1)), Var(2))), instance.prefix.variables)}")
     report = verify_breaker(instance.prefix, [g], psi)
     print(f"orbit coverage: {report.covered}/{report.orbit_count} orbits keep"
           f" a strategy satisfying the breaker")

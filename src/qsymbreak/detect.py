@@ -37,8 +37,9 @@ group itself: one first path of individualization and refinement, then,
 level by level from the bottom, one automorphism per orbit of the cell
 that the automorphisms found so far do not already join (the first-path
 search of nauty and saucy).  A discrete root ends it at once, since only
-the identity keeps every color.  Every generator is checked as a graph
-automorphism and, after conversion, as a syntactic symmetry.
+the identity keeps every color.  Every generator is its support, the
+sorted pairs ``(vertex, image)`` of the vertices it moves, and is checked
+as a graph automorphism and, after conversion, as a syntactic symmetry.
 """
 
 from __future__ import annotations
@@ -47,9 +48,8 @@ import random
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, groupby, permutations, product
+from itertools import accumulate, chain, groupby, permutations, product
 from math import factorial, prod
-from operator import ne
 
 from .errors import CapExceededError, ValidationError
 from .groups import SignedPermutation, is_syntactic_symmetry
@@ -231,11 +231,11 @@ def _individualize(adj, node, v: int, top: int) -> tuple[list[int], dict[int, li
 
 @dataclass(frozen=True)
 class AutomorphismResult:
-    """A generating set of the graph's automorphism group, with budget
-    accounting.  ``order`` is the group order, or ``None`` when the budget
-    ran out before the search was complete."""
+    """A generating set of the graph's automorphism group, as supports,
+    with budget accounting.  ``order`` is the group order, or ``None``
+    when the budget ran out before the search was complete."""
 
-    permutations: tuple[tuple[int, ...], ...]
+    permutations: tuple[tuple[tuple[int, int], ...], ...]
     complete: bool
     nodes_expanded: int
     order: int | None = None
@@ -301,19 +301,19 @@ def find_automorphisms(
     def by_color(cells: dict[int, list[int]]) -> list[int]:
         return list(chain.from_iterable(map(cells.__getitem__, sorted(cells))))
 
-    def is_automorphism(perm: list[int]) -> bool:
+    def is_automorphism(moved: dict[int, int]) -> bool:
         # a fixed vertex whose neighbors are fixed keeps its row
-        moved = [v for v in range(n) if perm[v] != v]
+        image = moved.get
         return all(
-            colors0[perm[v]] == colors0[v]
-            and tuple(sorted(perm[u] for u in adj[v])) == adj[perm[v]]
-            for v in set(moved).union(*(adj[v] for v in moved))
+            colors0[image(v, v)] == colors0[v]
+            and tuple(sorted(image(u, u) for u in adj[v])) == adj[image(v, v)]
+            for v in set(moved).union(*map(adj.__getitem__, moved))
         )
 
     # first path nodes, as labels and vertices by color; automorphic images
     # of a first-path node have its cell labels
     path: list[tuple[list[int], list[int]]] = []
-    found: list[tuple[int, ...]] = []
+    found: list[tuple[tuple[int, int], ...]] = []
     orbit_of = list(range(n))  # union-find over the generators found
     size = [1] * n  # a root's component size
 
@@ -323,7 +323,7 @@ def find_automorphisms(
             v = orbit_of[v]
         return v
 
-    def match(level: int, node, w: int) -> tuple[int, ...] | None:
+    def match(level: int, node, w: int) -> tuple[tuple[int, int], ...] | None:
         """An automorphism that maps the first path into the subtree of
         ``w`` at ``level``, by depth-first search with an explicit stack.
         Individualized vertices keep the top labels in individualization
@@ -340,11 +340,9 @@ def find_automorphisms(
             labels, order = path[depth + 1]
             if child[1].keys() != set(labels):
                 continue
-            perm = [0] * n
-            for u, x in zip(order, by_color(child[1])):
-                perm[u] = x
-            if is_automorphism(perm):
-                return tuple(perm)
+            moved = {u: x for u, x in zip(order, by_color(child[1])) if u != x}
+            if is_automorphism(moved):
+                return tuple(sorted(moved.items()))
             cell = _target_cell(child[1])
             if cell is not None:
                 stack.append((depth + 1, iter(cell), child))
@@ -371,14 +369,14 @@ def find_automorphisms(
                 root = find(w)
                 if root in blocked:
                     continue
-                perm = match(level, node, w)
-                if perm is None:
+                support = match(level, node, w)
+                if support is None:
                     refuted.append(w)
                     blocked.add(root)
                     continue
-                found.append(perm)
-                for v in [v for v in range(n) if perm[v] != v]:
-                    a, b = find(v), find(perm[v])
+                found.append(support)
+                for v, x in support:
+                    a, b = find(v), find(x)
                     if a != b:
                         orbit_of[a] = b
                         size[b] += size[a]
@@ -392,40 +390,45 @@ def find_automorphisms(
 
 
 def to_signed_permutations(perms, instance: QbfInstance) -> tuple[SignedPermutation, ...]:
-    """Convert vertex permutations of the symmetry graph into signed
-    variable permutations, reading literals from the vertex layout of
-    :func:`build_symmetry_graph`.
+    """Convert vertex permutations of the symmetry graph, given as their
+    supports, into signed variable permutations, reading literals from
+    the vertex layout of :func:`build_symmetry_graph`.
 
-    A vertex permutation is kept only if it maps the literal vertices
-    onto themselves and each variable's pair of literal vertices onto the
-    literal pair of a single variable; the rest are discarded with a
-    :class:`DetectionWarning`.  Automorphisms of the symmetry graph always
-    keep the pairing; the check is for maps that callers supply.
-    Survivors, built from the literal vertices they move, are deduplicated,
-    the identity is dropped, and every output is checked to be a syntactic
-    symmetry of the instance.
+    A support is kept only if its images permute its vertices, none
+    negative or repeated, and it maps literal vertices onto literal
+    vertices, each variable's pair onto the literal pair of a single
+    variable; the rest are discarded with a :class:`DetectionWarning`.
+    Automorphisms of the symmetry graph always pass; the check is for
+    supports that callers supply.  Survivors, built from the literal
+    vertices they move, are deduplicated, the identity is dropped, and
+    every output is checked to be a syntactic symmetry of the instance.
     """
     variables, domain = instance.prefix.variables, instance.prefix.domain
-    lits = range(2 * len(variables))
+    n_literals = 2 * len(variables)
     out: list[SignedPermutation] = []
     seen: set[SignedPermutation] = set()
     for perm in perms:
-        moved = list(compress(lits, map(ne, perm, lits)))
-        images = [perm[a] for a in moved]
-        # the moved literal vertices map onto themselves, pairs onto pairs
-        if len(perm) < len(lits) or sorted(images) != moved or any(
-            perm[a ^ 1] != b ^ 1 for a, b in zip(moved, images)
+        images = dict(perm)
+        sources = sorted(images)
+        literals = [(a, b) for a, b in images.items() if a < n_literals]
+        # a permutation of its own vertices, none negative or repeated,
+        # literals onto literals and pairs onto pairs
+        if (
+            len(images) < len(perm)
+            or min(sources, default=0) < 0
+            or sorted(images.values()) != sources
+            or any(b >= n_literals or images.get(a ^ 1, a ^ 1) != b ^ 1 for a, b in literals)
         ):
             warnings.warn(
-                "discarded a vertex permutation that breaks literal pairing",
+                "discarded a malformed vertex permutation or one that breaks literal pairing",
                 DetectionWarning,
                 stacklevel=2,
             )
             continue
         pairs = sorted(
             (variables[a >> 1], -variables[b >> 1] if b & 1 else variables[b >> 1])
-            for a, b in zip(moved, images)
-            if not a & 1
+            for a, b in literals
+            if a != b and not a & 1
         )
         g = SignedPermutation(domain, tuple(pairs))
         if g.is_identity or g in seen:

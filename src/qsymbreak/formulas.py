@@ -188,24 +188,12 @@ def truth_table(formula: Formula, order: Iterable[int]) -> int:
         raise ValueError(f"order repeats variable {repeated}")
     literals: dict[int, int] = {}
     memo: dict[int, int] = {}  # by node identity: shared subtrees are read once
-
-    def lit(l: int) -> int:
-        table = literals.get(l)
-        if table is None:
-            if l < 0:
-                table = full ^ lit(-l)
-            else:
-                try:
-                    bit = position[l]
-                except KeyError:
-                    raise MissingAssignmentError(l) from None
-                # 2**bit zeros then 2**bit ones, doubled up to 2**n bits
-                table, width = ((1 << (1 << bit)) - 1) << (1 << bit), 2 << bit
-                while width < 1 << n:
-                    table |= table << width
-                    width <<= 1
-            literals[l] = table
-        return table
+    bits = full
+    for v, bit in position.items():
+        # the table of the variable at bit k: the one before (all ones
+        # before the first) xor itself shifted down by 2**k
+        bits ^= bits >> (1 << bit)
+        literals[v], literals[-v] = bits, full ^ bits
 
     def table(node: Formula) -> int:
         key = id(node)
@@ -214,7 +202,7 @@ def truth_table(formula: Formula, order: Iterable[int]) -> int:
         if isinstance(node, Const):
             out = full if node.value else 0
         elif isinstance(node, Var):
-            out = lit(node.id)
+            out = literals[node.id]
         elif isinstance(node, Not):
             out = full ^ table(node.child)
         elif isinstance(node, And):
@@ -230,14 +218,17 @@ def truth_table(formula: Formula, order: Iterable[int]) -> int:
             for clause in node.clauses:
                 term = 0
                 for l in clause:
-                    term |= lit(l)
+                    term |= literals[l]
                 out &= term
         else:
             raise TypeError(f"not a formula node: {node!r}")
         memo[key] = out
         return out
 
-    return table(formula)
+    try:
+        return table(formula)
+    except KeyError as missing:
+        raise MissingAssignmentError(abs(missing.args[0])) from None
 
 
 def substitute(formula: Formula, partial: Mapping[int, bool]) -> Formula:

@@ -237,7 +237,8 @@ def test_search_finds_the_pair_swap():
     graph = build_symmetry_graph(PAIR)
     result = find_automorphisms(graph)
     assert result.complete
-    assert result.permutations == ((2, 3, 0, 1, 4),)
+    # the support: x's literal vertices swap with y's, the clause stays
+    assert result.permutations == (((0, 2), (1, 3), (2, 0), (3, 1)),)
 
 
 def test_search_matches_vertex_brute_force_on_tiny_graph():
@@ -250,7 +251,7 @@ def test_search_matches_vertex_brute_force_on_tiny_graph():
         return all(graph.has_edge(perm[u], perm[v]) for u, v in graph.edges)
 
     expected = {
-        perm
+        tuple((v, x) for v, x in enumerate(perm) if v != x)
         for perm in permutations(range(n))
         if perm != tuple(range(n)) and ok(perm)
     }
@@ -266,8 +267,9 @@ def test_group_order_counts_the_orbit_not_the_cell():
     closure, frontier = {tuple(range(12))}, [tuple(range(12))]
     while frontier:
         g = frontier.pop()
-        for h in result.permutations:
-            gh = tuple(h[x] for x in g)
+        for support in result.permutations:
+            h = dict(support)
+            gh = tuple(h.get(x, x) for x in g)
             if gh not in closure:
                 closure.add(gh)
                 frontier.append(gh)
@@ -435,27 +437,51 @@ def test_detected_group_contains_the_copy_gadget_swap():
 
 
 def test_vertex_permutation_conversion():
-    swap = (2, 3, 0, 1, 4)
+    swap = ((0, 2), (1, 3), (2, 0), (3, 1))
     (g,) = to_signed_permutations([swap], PAIR)
     assert g == SignedPermutation.from_dict({1: 2, 2: 1})
 
     flip_inst = QbfInstance(prefix=Prefix.from_pairs([(EXISTS, [1])]), clauses=())
-    (g,) = to_signed_permutations([(1, 0)], flip_inst)
+    (g,) = to_signed_permutations([((0, 1), (1, 0))], flip_inst)
     assert g == SignedPermutation.from_dict({1: -1})
 
 
 def test_conversion_drops_identity():
-    assert to_signed_permutations([(0, 1, 2, 3, 4)], PAIR) == ()
+    assert to_signed_permutations([()], PAIR) == ()
+    # a support that also names fixed vertices reads the same
+    assert to_signed_permutations([((0, 0), (1, 1), (4, 4))], PAIR) == ()
 
 
 def test_conversion_warns_on_broken_pairing():
     inst = QbfInstance(prefix=Prefix.from_pairs([(EXISTS, [1, 2])]), clauses=())
-    # maps x's literal pair onto vertices of two different variables; a
-    # map that misses literal vertices; one that pairs 2 with 3 but leaves
-    # vertex 3 without an image; one that maps both pairs onto x's
-    for bad in [(0, 2, 1, 3), (0,), (2, 3, 0), (0, 1, 0, 1)]:
+    # maps x's literal pair onto vertices of two different variables; one
+    # that pairs 2 with 3 but leaves vertex 3 without an image; one that
+    # maps both pairs onto x's.  (A support names only what it moves, so
+    # it cannot miss a literal vertex as a too short dense map could.)
+    for bad in [((1, 2), (2, 1)), ((0, 2), (1, 3), (2, 0)), ((2, 0), (3, 1))]:
         with pytest.warns(DetectionWarning):
             assert to_signed_permutations([bad], inst) == ()
+
+
+def test_conversion_rejects_malformed_supports():
+    # literal vertices 0-3 for x and y, clause vertices 4 for (x or y)
+    # and 5 for (-x or -y)
+    inst = QbfInstance(Prefix.from_pairs([(EXISTS, [1, 2])]), ((1, 2), (-1, -2)))
+    swap = ((0, 2), (1, 3), (2, 0), (3, 1))
+    flip = ((0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4))
+    swapped = SignedPermutation.from_dict({1: 2, 2: 1})
+    assert to_signed_permutations([swap, flip], inst) == (
+        swapped,
+        SignedPermutation.from_dict({1: -1, 2: -2}),
+    )
+    for bad in [
+        ((0, 3), (0, 2), (1, 3), (2, 0), (3, 1)),  # 0 twice; the last reads as the swap
+        ((-2, 0), (-1, 1), (0, -2), (1, -1)),  # negative indices read as y's pair
+        ((0, 4), (1, 5), (4, 0), (5, 1)),  # x's literals onto the clauses
+        ((0, 2), (1, 3)),  # images 2 and 3 are not the sources 0 and 1
+    ]:
+        with pytest.warns(DetectionWarning):
+            assert to_signed_permutations([bad, swap], inst) == (swapped,)
 
 
 def test_detector_output_is_sound():
@@ -544,7 +570,7 @@ def test_result_containers_iterate():
     result = find_automorphisms(build_symmetry_graph(PAIR))
     assert isinstance(result, AutomorphismResult)
     assert len(result) == 1
-    assert list(result) == [(2, 3, 0, 1, 4)]
+    assert list(result) == [((0, 2), (1, 3), (2, 0), (3, 1))]
     detection = detect_symmetries(PAIR)
     assert len(detection) == 1
     assert list(detection) == [SignedPermutation.from_dict({1: 2, 2: 1})]

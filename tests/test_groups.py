@@ -373,14 +373,16 @@ def test_support_only_check_matches_the_dense_check():
     assert min(outcomes.values()) > 500
 
 
-def _vertex_permutation(images, prefix):
-    """The symmetry graph's literal-vertex permutation of a signed map."""
+def _vertex_support(images, prefix):
+    """The symmetry graph's literal-vertex support of a signed map: the
+    sorted pairs (vertex, image) of the literal vertices it moves."""
     position = {v: i for i, v in enumerate(prefix.variables)}
-    perm = [0] * (2 * prefix.n)
+    support = []
     for v, w in images.items():
         a, b = 2 * position[v], 2 * position[abs(w)] + (w < 0)
-        perm[a], perm[a + 1] = b, b ^ 1
-    return tuple(perm)
+        if a != b:
+            support += [(a, b), (a + 1, b ^ 1)]
+    return tuple(sorted(support))
 
 
 def test_signed_permutations_keep_only_what_they_move():
@@ -391,7 +393,7 @@ def test_signed_permutations_keep_only_what_they_move():
         g = SignedPermutation.from_dict(images)
         # the detector's construction, over the prefix's shared domain
         inst = QbfInstance(prefix, ())
-        detected = to_signed_permutations([_vertex_permutation(images, prefix)], inst)
+        detected = to_signed_permutations([_vertex_support(images, prefix)], inst)
         assert detected == (() if g.is_identity else (g,))
         for h in detected:
             assert hash(h) == hash(g) and h.domain is prefix.domain
