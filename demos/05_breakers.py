@@ -1,8 +1,10 @@
 """Lex-leader breakers: the clause chain, its projection, the cube dual.
 
 On the equality gadget the breaker for the Klein group {swap y z,
-negate y and z} is one chain of clauses per generator.  Projecting the
-chain variables away leaves "not y": picking the lexicographically least
+negate y and z} is one chain per generator, here two clauses and no
+chain variables: the swap's chain is the lex-leader clause (~y | z), and
+the negation's the unit ~y, since a flipped variable never ties and ends
+its chain.  The projection is "not y": picking the lexicographically least
 strategy per orbit pins y to false while z stays free, and all four
 strategy orbits keep a representative.
 """

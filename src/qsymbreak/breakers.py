@@ -6,15 +6,18 @@ lex-leader breaker keeps, from every semantic orbit of existential
 strategies, the ones that play lexicographically minimal assignments.  It
 is written once, as one clause chain per group element in the linear shape
 of Shatter (Aloul, Sakallah & Markov, IEEE TC 2006).  Chain positions are
-the variables ``x_0..x_{m-1}`` that ``g`` moves, in prefix order, and the
-chain variable ``y_j`` means "the play agrees with its image on
-x_0..x_{j-1}": a unit clause asserts ``y_0``, implication clauses
+the variables ``x_0..x_{m-1}`` that ``g`` moves, in prefix order, up to its
+first flip ``g(x) = ~x``, which never ties, and without the later variable
+of each 2-cycle, which ties when its partner does.  The chain variable
+``y_j`` means "the play agrees with its image on x_0..x_{j-1}"; ``y_0``
+always holds and is left out.  Implication clauses
 ``(~y_j | ~x_j | g(x_j))`` enforce the breaker at existential positions,
 and per-position pairs extend the chain, recycling the implication at
 existential positions and testing equality at universal ones.  The chain
-stops at the last existential position; tautologies and duplicates are
-dropped.  The universal breaker is the existential one of the flipped
-prefix, negated clause by clause into cubes.
+stops at the last existential position, and duplicates are dropped: a
+swap's chain is the one clause ``(~v | w)``, a flip's the unit ``~v``.  The
+universal breaker is the existential one of the flipped prefix, negated
+clause by clause into cubes.
 
 The formula breaker psi is the chain's projection onto the prefix,
 ``project_chain``; for the existential breaker it is
@@ -115,8 +118,7 @@ class EncodedBreaker:
 
     ``terms`` are clauses when ``polarity`` is existential and cubes when
     universal.  ``aux_slots`` records, for every fresh chain variable,
-    the original-prefix block index after which it is quantified (-1
-    puts it in front of the first block).
+    the original-prefix block index after which it is quantified.
     """
 
     polarity: str
@@ -148,9 +150,7 @@ class EncodedBreaker:
 
 
 def _sorted_pair(a: int, b: int) -> tuple[int, ...]:
-    """The clause a | b, sorted; empty for the tautology b = -a."""
-    if a == -b:
-        return ()
+    """The clause a | b, sorted, with a repeated literal written once."""
     return (a,) if a == b else tuple(sorted((a, b), key=abs))
 
 
@@ -159,35 +159,43 @@ def _chain_for_generator(
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
     """The clause chain for one generator, and its [(aux, slot)].
 
-    Chain positions are the variables ``g`` moves, in prefix order; the
-    chain stops at the last moved existential, and is empty without one.
+    Chain positions are the variables ``g`` moves, in prefix order, up to
+    the first flip ``g(x) = ~x``, which never ties; the later variable of a
+    2-cycle is skipped, since a tie at its partner ties it too.  The chain
+    stops at the last existential position, and is empty without one.
     """
     quantifier, position = prefix.quantifier_of, prefix._position.__getitem__
-    in_order = sorted(g.moved, key=lambda pair: position(pair[0]))
-    moved = [(v, w, quantifier(v) == EXISTS) for v, w in in_order]
+    moved = []
+    for v, w in sorted(g.moved, key=lambda pair: position(pair[0])):
+        if g.image_of_literal(w) == v and position(abs(w)) < position(v):
+            continue  # the later variable of a 2-cycle
+        moved.append((v, w, quantifier(v) == EXISTS))
+        if w == -v:
+            break  # a flip
     ranks = [r for r, (_, _, exists) in enumerate(moved) if exists]
     if not ranks:
         return [], []
-    aux = range(next_aux, next_aux + ranks[-1] + 1)
-    # chain variables are numbered past the prefix, so a sorted clause lists
-    # its prefix literals first and its chain literals in increasing order
-    clauses = [(aux[0],)]
-    clauses += [(*_sorted_pair(-v, w), -aux[r]) for r, (v, w, exists) in enumerate(moved) if exists]
+    # y_r for 0 < r <= the last existential rank; y_0 always holds and is
+    # left out.  Chain variables are numbered past the prefix, so a sorted
+    # clause lists its prefix literals first and its chain literals in
+    # increasing order
+    aux = range(next_aux, next_aux + ranks[-1])
+    guard = [(), *((-y,) for y in aux)]  # ~y_r, and nothing for y_0
+    clauses = [(*_sorted_pair(-v, w), *guard[r]) for r, (v, w, exists) in enumerate(moved) if exists]
     for r, (v, w, exists) in enumerate(moved[: ranks[-1]], 1):
         pairs = ((-v,), (w,)) if exists else (_sorted_pair(-v, -w), _sorted_pair(v, w))
-        clauses += [(*lits, -aux[r - 1], aux[r]) for lits in pairs if lits]
+        clauses += [(*lits, *guard[r - 1], aux[r - 1]) for lits in pairs]
     # y_r is quantified after the block of the position before it
-    slots = [(y, prefix.block_index_of(v)) for y, (v, _, _) in zip(aux[1:], moved)]
-    return clauses, [(aux[0], -1), *slots]
+    return clauses, [(y, prefix.block_index_of(v)) for y, (v, _, _) in zip(aux, moved)]
 
 
 def _extended_prefix(prefix: Prefix, slot_items) -> Prefix:
-    """Insert aux variables after their slots; -1 means before everything.
+    """Insert aux variables after their slots.
     ``slot_items`` is an iterable of (aux, slot, quantifier)."""
     per_slot: dict[int, list[tuple[str, tuple[int]]]] = defaultdict(list)
     for aux, slot, q in sorted(slot_items):
         per_slot[slot].append((q, (aux,)))
-    pairs = per_slot[-1]
+    pairs = []
     for bi, block in enumerate(prefix.blocks):
         pairs += [(block.quantifier, block.variables), *per_slot[bi]]
     return Prefix.from_pairs(pairs)

@@ -57,27 +57,33 @@ PREFIX_AEE = Prefix.from_pairs([(FORALL, [1]), (EXISTS, [2, 3])])
 SWAP = SignedPermutation.from_dict({1: 1, 2: 3, 3: 2})
 NEGATE_BOTH = SignedPermutation.from_dict({1: 1, 2: -2, 3: -3})
 
-# the five clauses of the chain encoding for swap under forall x1, with
-# chain variables 4, 5: the chain walks only the moved x2, x3, so the
-# fixed universal x1 gets no chain variable; unit, two implications, one
-# recycling pair for the first existential
-EXPECTED_SWAP_CLAUSES = {
-    (4,),
-    (-2, 3, -4),
-    (2, -3, -5),
-    (-2, -4, 5),
-    (3, -4, 5),
-}
+# swapping x1, x2 and x3, x4 under forall x1 x2 exists x3 x4: the 2-cycle
+# partners x2 and x4 tie when x1 and x3 do, so the chain walks x1 and x3
+# only; chain variable 5 records the universal tie x1 <-> x2 and guards the
+# implication at x3
+PREFIX_AAEE = Prefix.from_pairs([(FORALL, [1, 2]), (EXISTS, [3, 4])])
+DOUBLE_SWAP = SignedPermutation.from_dict({1: 2, 2: 1, 3: 4, 4: 3})
+EXPECTED_DOUBLE_SWAP_CLAUSES = {(-3, 4, -5), (-1, -2, 5), (1, 2, 5)}
+
+# a 3-cycle in each block: unlike a swap or a flip, a longer cycle keeps
+# chain variables in both polarities (five existential, two universal)
+PREFIX_AAAEEE = Prefix.from_pairs([(FORALL, [1, 2, 3]), (EXISTS, [4, 5, 6])])
+CYCLES = SignedPermutation.from_dict({1: 2, 2: 3, 3: 1, 4: 5, 5: 6, 6: 4})
 
 
 def _chain_count(prefix, elements):
-    # every chain starts with its own unit clause
-    return sum(len(c) == 1 for c in encode_existential_cnf(prefix, elements).clauses)
+    # the elements with a nonempty chain; these elements' chains have no
+    # chain variables, so the encoding is their clauses, in element order
+    chains = [encode_existential_cnf(prefix, [g]).clauses for g in elements]
+    together = encode_existential_cnf(prefix, elements).clauses
+    assert together == tuple(dict.fromkeys(itertools.chain(*chains)))
+    return sum(map(bool, chains))
 
 
 def test_displayed_breaker_for_a_swap():
     psi = lex_leader_formula(PREFIX_AEE, [SWAP])
     assert _chain_count(PREFIX_AEE, [SWAP]) == 1
+    assert encode_existential_cnf(PREFIX_AEE, [SWAP]).clauses == ((-2, 3),)
     assert psi.polarity == EXISTS
     assert equivalent(psi.formula, Not(Var(2)) | Var(3))
 
@@ -119,35 +125,44 @@ def test_formula_image_generator_rejected():
 
 
 def test_chain_encoding_of_the_swap():
+    # a lone swap is the lex-leader clause ~x2 | x3, without chain variables
     enc = encode_existential_cnf(PREFIX_AEE, [SWAP])
     assert enc.polarity == EXISTS
-    assert set(enc.clauses) == EXPECTED_SWAP_CLAUSES
-    assert len(enc.clauses) == 5
-    assert enc.aux_vars == (4, 5)
-    assert enc.aux_slots == ((4, -1), (5, 1))
-    assert enc.prefix == Prefix.from_pairs(
-        [(EXISTS, [4]), (FORALL, [1]), (EXISTS, [2, 3, 5])]
-    )
-    assert enc.original_prefix == PREFIX_AEE
+    assert enc.clauses == ((-2, 3),)
+    assert enc.aux_vars == enc.aux_slots == ()
+    assert enc.prefix == enc.original_prefix == PREFIX_AEE
+    # two swaps: one implication and one universal equality pair
+    enc = encode_existential_cnf(PREFIX_AAEE, [DOUBLE_SWAP])
+    assert set(enc.clauses) == EXPECTED_DOUBLE_SWAP_CLAUSES
+    assert len(enc.clauses) == 3
+    assert enc.aux_vars == (5,)
+    assert enc.aux_slots == ((5, 0),)
+    assert enc.prefix == Prefix.from_pairs([(FORALL, [1, 2]), (EXISTS, [5, 3, 4])])
+    assert enc.original_prefix == PREFIX_AAEE
 
 
 def test_identity_compression_shortens_the_chain():
-    # x2 is fixed between the swapped x1 and x3: the chain skips it, so
-    # two chain variables serve three prefix positions and x2 is absent
-    prefix = Prefix.from_pairs([(EXISTS, [1, 2, 3])])
-    outer_swap = SignedPermutation.from_dict({1: 3, 2: 2, 3: 1})
-    enc = encode_existential_cnf(prefix, [outer_swap])
+    # x2 is fixed between the cycled x1, x3 and x4: the chain skips it, so
+    # two chain variables serve four prefix positions and x2 is absent
+    prefix = Prefix.from_pairs([(EXISTS, [1, 2, 3, 4])])
+    outer_cycle = SignedPermutation.from_dict({1: 3, 2: 2, 3: 4, 4: 1})
+    enc = encode_existential_cnf(prefix, [outer_cycle])
     assert set(enc.clauses) == {
-        (4,),
-        (-1, 3, -4),
-        (1, -3, -5),
-        (-1, -4, 5),
-        (3, -4, 5),
+        (-1, 3),
+        (-3, 4, -5),
+        (1, -4, -6),
+        (-1, 5),
+        (3, 5),
+        (-3, -5, 6),
+        (4, -5, 6),
     }
     assert all(2 not in map(abs, c) for c in enc.clauses)
-    assert enc.aux_vars == (4, 5)
-    assert enc.aux_slots == ((4, -1), (5, 0))
-    assert enc.prefix == Prefix.from_pairs([(EXISTS, [4, 1, 2, 3, 5])])
+    assert enc.aux_vars == (5, 6)
+    assert enc.aux_slots == ((5, 0), (6, 0))
+    assert enc.prefix == Prefix.from_pairs([(EXISTS, [1, 2, 3, 4, 5, 6])])
+    # the outer swap of x1 and x3 skips x2 too, and is one clause
+    outer_swap = SignedPermutation.from_dict({1: 3, 2: 2, 3: 1, 4: 4})
+    assert encode_existential_cnf(prefix, [outer_swap]).clauses == ((-1, 3),)
 
 
 def test_identity_generator_encodes_to_nothing():
@@ -160,17 +175,17 @@ def test_identity_generator_encodes_to_nothing():
 
 def test_universal_encoding_negates_the_flipped_chain():
     prefix = Prefix.from_pairs([(EXISTS, [1]), (FORALL, [2, 3])])
-    enc = encode_universal_dnf(prefix, [SWAP])
+    assert encode_universal_dnf(prefix, [SWAP]).cubes == ((2, -3),)
+    prefix = PREFIX_AAEE.flipped()
+    enc = encode_universal_dnf(prefix, [DOUBLE_SWAP])
     assert enc.polarity == FORALL
-    assert set(enc.cubes) == {tuple(-l for l in c) for c in EXPECTED_SWAP_CLAUSES}
-    assert enc.aux_vars == (4, 5)
-    assert enc.prefix == Prefix.from_pairs(
-        [(FORALL, [4]), (EXISTS, [1]), (FORALL, [2, 3, 5])]
-    )
+    assert set(enc.cubes) == {tuple(-l for l in c) for c in EXPECTED_DOUBLE_SWAP_CLAUSES}
+    assert enc.aux_vars == (5,)
+    assert enc.prefix == Prefix.from_pairs([(EXISTS, [1, 2]), (FORALL, [5, 3, 4])])
     with pytest.raises(ValidationError):
         enc.clauses
     with pytest.raises(ValidationError):
-        encode_existential_cnf(prefix, [SWAP]).cubes
+        encode_existential_cnf(prefix, [DOUBLE_SWAP]).cubes
 
 
 def test_universal_encoding_is_empty_when_group_fixes_universals():
@@ -195,9 +210,9 @@ def test_cube_count_matches_flipped_clause_count():
 
 def test_start_var_must_clear_the_prefix():
     with pytest.raises(ValidationError, match="start_var"):
-        encode_existential_cnf(PREFIX_AEE, [SWAP], start_var=3)
-    enc = encode_existential_cnf(PREFIX_AEE, [SWAP], start_var=10)
-    assert enc.aux_vars == (10, 11)
+        encode_existential_cnf(PREFIX_AAAEEE, [CYCLES], start_var=6)
+    enc = encode_existential_cnf(PREFIX_AAAEEE, [CYCLES], start_var=10)
+    assert enc.aux_vars == (10, 11, 12, 13, 14)
 
 
 def _chain_extensions(sigma, aux_vars):
@@ -262,6 +277,68 @@ def test_breakers_match_the_hand_written_reference():
             oracles.universal_lex_leader_reference(prefix, gens), order
         )
     assert products >= 50
+
+
+def _ends_at_its_first_flip(prefix, g, enc):
+    # g's own chain: no slot in front of the first block, and no chain
+    # variable defined at or past g's first flip; True when an existential
+    # position of the chain's prefix follows that flip
+    chain_prefix = prefix if enc.polarity == EXISTS else prefix.flipped()
+    assert all(0 <= slot < len(prefix.blocks) for _, slot in enc.aux_slots)
+    moved = [v for v in chain_prefix.variables if g.image(v) != v]
+    flips = [k for k, v in enumerate(moved) if g.image(v) == -v]
+    if not flips:
+        return False
+    flip = moved[flips[0]]
+    clauses = enc.terms if enc.polarity == EXISTS else [[-l for l in c] for c in enc.terms]
+    # the flip is no other variable's image, so the clauses it occurs in are
+    # its own position's, and none of them has a chain variable as its head
+    assert not any(flip in map(abs, c) and set(c) & set(enc.aux_vars) for c in clauses)
+    return any(chain_prefix.quantifier_of(v) == EXISTS for v in moved[flips[0] + 1 :])
+
+
+def test_shorter_chains_keep_the_projection():
+    # flips, signed 2-cycles and longer signed cycles over mixed prefixes:
+    # the chains without y_0, without 2-cycle partners and without positions
+    # after a flip still project onto the hand-written breakers
+    rng = random.Random(2206)
+    references = (oracles.lex_leader_reference, oracles.universal_lex_leader_reference)
+    flips_mid_chain = 0
+    for case in range(400):
+        prefix = oracles.random_prefix(rng, rng.randint(1, 7))
+        draw = oracles.random_involution if case % 2 else oracles.random_signed_perm
+        gens = [g for g in (draw(rng, prefix) for _ in range(rng.randint(1, 3))) if g.moved]
+        order = prefix.variables
+        for enc, reference in zip(encode_both(prefix, gens), references):
+            # breaker_formula reads psi with project_chain, which rejects any
+            # clause list that is not a Horn chain in definition order
+            psi = breaker_formula(enc).formula
+            assert truth_table(psi, order) == truth_table(reference(prefix, gens), order)
+        for g in gens:
+            for enc in encode_both(prefix, [g]):
+                flips_mid_chain += _ends_at_its_first_flip(prefix, g, enc)
+    assert flips_mid_chain >= 50
+
+    # a swap, signed or not, is one clause and a flip one unit, in either
+    # polarity's own block, with no chain variable
+    for _ in range(100):
+        prefix = oracles.random_prefix(rng, rng.randint(2, 6))
+        block = rng.choice(prefix.blocks)
+        images = {x: x for x in prefix.variables}
+        v, *rest = block.variables
+        if rest:
+            w, s = rng.choice(rest), rng.choice((1, -1))
+            images.update({v: s * w, w: s * v})
+            clause = (-v, s * w)
+        else:
+            images[v] = -v
+            clause = (-v,)
+        g = SignedPermutation.from_dict(images)
+        enc_e, enc_u = encode_both(prefix, [g])
+        own, other = (enc_e, enc_u) if block.quantifier == EXISTS else (enc_u, enc_e)
+        sign = 1 if own is enc_e else -1
+        assert own.terms == (tuple(sorted((sign * l for l in clause), key=abs)),)
+        assert own.aux_vars == other.aux_vars == other.terms == ()
 
 
 def test_breaker_formula_projects_an_encoded_pair():
@@ -415,8 +492,9 @@ def test_encode_both_on_an_empty_prefix(text):
 
 
 def test_encode_both_numbers_the_universal_chain_after_the_existential():
-    inst = gen_kbkf(2)
-    gens = detect_symmetries(inst).generators
+    inst = QbfInstance(prefix=PREFIX_AAAEEE, clauses=((1, 2, 3), (4, 5, 6)))
+    gens = [CYCLES]
+    assert is_syntactic_symmetry(CYCLES, inst)
     enc_e, enc_u = encode_both(inst.prefix, gens)
     assert enc_e == encode_existential_cnf(inst.prefix, gens)
     assert enc_e.aux_vars and enc_u.aux_vars
@@ -426,25 +504,24 @@ def test_encode_both_numbers_the_universal_chain_after_the_existential():
 
 
 def test_augment_rejects_mismatches():
-    enc = encode_existential_cnf(PREFIX_AEE, [SWAP])
+    enc = encode_existential_cnf(PREFIX_AAAEEE, [CYCLES])
     other = QbfInstance(
-        prefix=Prefix.from_pairs([(EXISTS, [1, 2, 3])]), clauses=((1, 2),)
+        prefix=Prefix.from_pairs([(EXISTS, [1, 2, 3, 4, 5, 6])]), clauses=((1, 2),)
     )
     with pytest.raises(ValidationError, match="different prefix"):
         augment_instance(other, enc, "conjoin-cnf")
-    inst = QbfInstance(prefix=PREFIX_AEE, clauses=((2, 3),))
+    inst = QbfInstance(prefix=PREFIX_AAAEEE, clauses=((4, 5, 6),))
     with pytest.raises(ValidationError, match="unknown augment mode"):
         augment_instance(inst, enc, "minimize")
     with pytest.raises(ValidationError, match="universal encoding"):
         augment_instance(inst, enc, "attach-dnf")
     with pytest.raises(ValidationError, match="pair"):
         augment_instance(inst, enc, "combined")
-    flip_universal = SignedPermutation.from_dict({1: -1, 2: 2, 3: 3})
-    clashing = encode_universal_dnf(PREFIX_AEE, [flip_universal])
+    clashing = encode_universal_dnf(PREFIX_AAAEEE, [CYCLES])
     assert clashing.aux_vars
     with pytest.raises(ValidationError, match="share chain variables"):
         augment_instance(inst, (enc, clashing), "combined")
-    dual = encode_universal_dnf(PREFIX_AEE, [SWAP], start_var=max(enc.aux_vars) + 1)
+    dual = encode_universal_dnf(PREFIX_AAAEEE, [CYCLES], start_var=max(enc.aux_vars) + 1)
     for mode, bad in [
         ("conjoin-cnf", dual),
         ("conjoin-cnf", (enc, dual)),

@@ -35,6 +35,7 @@ UNIT = "p cnf 1 1\ne 1 0\n1 0\n"
 ASYMMETRIC = "p cnf 2 2\ne 1 2 0\n1 0\n1 2 0\n"
 KLEIN = "p cnf 3 2\na 1 0\ne 2 3 0\n-2 3 0\n2 -3 0\n"
 FORALL_PAIR = "p cnf 3 2\ne 1 0\na 2 3 0\n1 2 0\n1 3 0\n"
+FORALL_TRIPLE = "p cnf 4 3\ne 1 0\na 2 3 4 0\n1 2 0\n1 3 0\n1 4 0\n"
 
 
 def run(capsys, *argv):
@@ -232,13 +233,14 @@ def test_break_exists_preserves_solve_verdict(tmp_path, capsys):
 
 
 def test_break_forall_emits_sidecar(tmp_path, capsys):
-    path = write(tmp_path, "fp.qdimacs", FORALL_PAIR)
-    gens = write(tmp_path, "gens.txt", "(2 3)\n")
+    # a swap's universal chain is one cube; a 3-cycle's keeps chain variables
+    path = write(tmp_path, "ft.qdimacs", FORALL_TRIPLE)
+    gens = write(tmp_path, "gens.txt", "(2 3 4)\n")
     code, out, _ = run(capsys, "break", "--forall", "--generators", gens, path)
     assert code == 0
     prefix, cubes = parse_dnf(out)
     assert cubes
-    assert prefix.variables != (1, 2, 3)  # chain variables were added
+    assert prefix.variables != (1, 2, 3, 4)  # chain variables were added
 
 
 def test_break_forall_static_group_gives_empty_sidecar(tmp_path, capsys):
@@ -332,11 +334,13 @@ BREAK_ROUTES = {
 }
 
 # sha256 of every route's exit code, stdout and output files, recorded
-# before break's three polarities shared one body
+# before break's three polarities shared one body; kbkf_2, planted_3 and
+# static_group re-recorded when the chains lost y_0, 2-cycle partners and
+# the positions after a flip
 PINNED_BREAKS = {
-    "kbkf_2": "59712b2ba1486d751afbb64c8ff2fb9c97e921c122003a9ab0e72e6498789509",
-    "planted_3": "57cb494003696a60a4dd6be513fdba884eee4f4d7eb493a6e3a974f500afe4c9",
-    "static_group": "15d0e4ac371089c609aee53868d2c38254d808545eec2dc174e086c327a0d0fb",
+    "kbkf_2": "91c82343c4ac635e1a049c53bcea9f8d1b7e169f5df7acd125f17c406a7fd44e",
+    "planted_3": "49894b09ffaebdc7fb2ffe00d74e2f21c222a0e26af20b6658a5dabf9e95e8f9",
+    "static_group": "787d7fbc530c64483ae2379f73b8e98f3d5637c7e8b8dd1f7e1e8c8d5e5614cc",
     "empty": "6faf8029295d960d7f98fee28ccb3201feabe11a6ef30bd87de5a42df59b0b11",
 }
 
@@ -463,6 +467,20 @@ def test_verify_clause_free_block(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", path)
     assert code == 0
     assert out.count("PASS") == 7
+
+
+def test_verify_passes_on_kbkf_3(tmp_path, capsys):
+    # the paper's own family: with the strategy-count cap lifted, the chains
+    # of both breakers add 3 variables to KBKF t = 3's 12, so every truth
+    # check fits the truth cap
+    path = str(tmp_path / "k3.qdimacs")
+    run(capsys, "gen", "kbkf", "3", "-o", path)
+    code, out, _ = run(capsys, "verify", "--json", "--cap", str(2**200), path)
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] is True
+    assert len(report["checks"]) == 7
+    assert all(check["ok"] for check in report["checks"])
 
 
 def test_verify_detects_bogus_generator(tmp_path, capsys):
