@@ -64,20 +64,21 @@ _MODE_ENCODINGS = {
 AUGMENT_MODES = tuple(_MODE_ENCODINGS)
 
 
+def _admissible(prefix: Prefix, generators) -> tuple:
+    """The distinct generators; one that is not admissible on the prefix raises."""
+    gens = tuple(dict.fromkeys(generators))
+    for g in gens:
+        violations = check_admissible(g, prefix).violations
+        if violations:
+            raise ValidationError("inadmissible generator: " + "; ".join(m for _, m in violations))
+    return gens
+
+
 def _checked_generators(prefix: Prefix, generators) -> tuple[SignedPermutation, ...]:
-    out: list[SignedPermutation] = []
-    for g in generators:
-        if not isinstance(g, SignedPermutation):
-            raise ValidationError(
-                "breakers require signed permutations; generator images must be literals"
-            )
-        report = check_admissible(g, prefix)
-        if not report.ok:
-            raise ValidationError(
-                "inadmissible generator: " + "; ".join(m for _, m in report.violations)
-            )
-        out.append(g)
-    return tuple(dict.fromkeys(out))
+    gens = tuple(generators)
+    if not all(isinstance(g, SignedPermutation) for g in gens):
+        raise ValidationError("breakers need signed permutations, whose images are literals")
+    return _admissible(prefix, gens)
 
 
 def select_group_elements(
@@ -440,11 +441,12 @@ def verify_breaker(
     whose plays ``psi`` always holds; the universal dual asks for a
     universal strategy on whose plays ``psi`` never holds.  ``psi`` may
     be a :class:`BreakerFormula` (the polarity is taken from it) or a
-    plain formula, which is checked as an existential breaker.  ``psi`` is
-    read once, as its ``prefix_table`` over the plays.  The orbits are
-    the classes of the two families ``orbit_classes`` builds, all and
-    covered: the breaker passes when the two are one node.  ``cap`` bounds
-    the player's strategy count, as in ``semantic_orbits``, and the plays.
+    plain formula, which is checked as an existential breaker.  The
+    generators, signed permutations or formula maps, must be admissible.
+    ``psi`` is read once, as its ``prefix_table`` over the plays.  The
+    orbits are the classes of the two families ``orbit_classes`` builds,
+    all and covered: the breaker passes when the two are one node.  ``cap``
+    bounds the player's strategy count, as in ``semantic_orbits``, and the plays.
     """
     formula, pol = (psi.formula, psi.polarity) if isinstance(psi, BreakerFormula) else (psi, EXISTS)
     target = pol == EXISTS
@@ -453,6 +455,7 @@ def verify_breaker(
     # the opponent's variables add plays but no strategies
     if prefix.n >= cap_bits(cap):
         raise CapExceededError(f"2**{prefix.n} plays exceed enumeration cap {cap}")
+    generators = _admissible(prefix, generators)
     n = prefix.n
     table = prefix_table(formula, prefix.variables)
     kept_plays = table if target else table ^ ((1 << 2**n) - 1)

@@ -5,20 +5,20 @@ literal (a variable with a sign) and is what detection and breaking use,
 since substituting literals into clauses keeps them clauses. It stores only
 the variables it moves, as saucy does (Darga, Liffiton, Sakallah & Markov,
 DAC 2004), and everything here, the symmetry check included, works from
-them. AdmissibleMap maps variables to arbitrary formulas and exists for
-verification: it covers maps like y -> x xor y that are admissible but not
-literal-shaped.
+them. AdmissibleMap maps variables to formulas, such as y -> x xor y,
+admissible but not literal-shaped. Both compile their action on the plays
+into a ``play_table``, read by the admissibility check and ``strategies``.
 
 Admissibility means two things: the map commutes with evaluation (checked
-for general maps by testing that the induced action on total assignments is
-a bijection), and every variable's image stays inside that variable's own
-quantifier block.
+for general maps by testing that the play table reaches every play), and
+every variable's image stays inside that variable's own quantifier block.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -26,7 +26,7 @@ from operator import lt
 from typing import Iterable, Mapping
 
 from .errors import CapExceededError, ValidationError
-from .formulas import Formula, evaluate, literal, map_variables, variables
+from .formulas import Formula, evaluate, literal, map_variables, truth_table, variables
 from .qdimacs import Prefix, QbfInstance
 
 ADMISSIBLE_VAR_CAP = 16
@@ -134,6 +134,24 @@ class SignedPermutation:
         inv = ((abs(img), v if img > 0 else -v) for v, img in self.moved)
         return SignedPermutation(self.domain, tuple(sorted(inv)))
 
+    def play_table(self, order: tuple[int, ...]) -> array:
+        """The image of every play of ``order``, numbered as by ``truth_table``,
+        built by doubling over the bits: the image of p is a flip mask xor the
+        images of p's set bits, and only a moved variable's bit has another."""
+        bit = {v: len(order) - 1 - i for i, v in enumerate(order)}
+        if tuple(sorted(bit)) != self.domain:
+            raise ValidationError("generators must act on exactly the prefix variables")
+        flip, masks = 0, [1 << k for k in range(len(order))]
+        for v, image in self.moved:
+            # the image play takes v's value from abs(image)'s, negated by a sign
+            masks[bit[abs(image)]] = 1 << bit[v]
+            if image < 0:
+                flip |= 1 << bit[v]
+        table = array("l", [flip])
+        for mask in masks:
+            table.extend([p ^ mask for p in table])
+        return table
+
 
 @dataclass(frozen=True)
 class AdmissibleMap:
@@ -170,6 +188,16 @@ class AdmissibleMap:
     def apply_to_assignment(self, sigma: Mapping[int, bool]) -> dict[int, bool]:
         return {v: evaluate(img, sigma) for v, img in self.images}
 
+    def play_table(self, order: tuple[int, ...]) -> array:
+        """As ``SignedPermutation.play_table``: bit k of an image play is that
+        play's bit in the ``truth_table`` of the image of the variable at bit k."""
+        if len(order) != len(self.images):
+            raise ValidationError("generators must act on exactly the prefix variables")
+        plays = 1 << len(order)
+        columns = [f"{truth_table(self.image(v), order):0{plays}b}"[::-1] for v in order]
+        # the leading zero column keeps the one play of an empty order
+        return array("l", [int("".join(bits), 2) for bits in zip("0" * plays, *columns)])
+
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
@@ -187,12 +215,11 @@ def check_admissible(
 ) -> AdmissibilityReport:
     """Check both admissibility conditions against a prefix.
 
-    Condition 1 (the map commutes with evaluation) is verified for general
-    maps by checking that sigma -> g(sigma) is a bijection over all total
-    assignments, which needs len(prefix) <= cap. Signed permutations satisfy
-    it structurally. Condition 2 requires each image to use only variables
-    from the source variable's quantifier block; a signed permutation is
-    checked on the variables it moves.
+    Condition 1 (the map commutes with evaluation) holds for a general map
+    whose ``play_table`` reaches all 2**n plays, checked if n <= cap and the
+    images stay in the prefix; signed permutations satisfy it structurally.
+    Condition 2 keeps each image's variables inside the source variable's
+    quantifier block; a signed permutation is checked on those it moves.
     """
     if g.domain != prefix.domain:
         raise ValidationError(
@@ -208,22 +235,12 @@ def check_admissible(
     message = "image of variable {} uses {} outside its quantifier block"
     violations = [(2, message.format(v, stray)) for v, stray in strays if stray]
 
-    if isinstance(g, AdmissibleMap):
+    if isinstance(g, AdmissibleMap) and not any(None in map(block, stray) for _, stray in strays):
         n = len(prefix.variables)
         if n > cap:
-            raise CapExceededError(
-                f"condition-1 check over {n} variables exceeds cap {cap}"
-            )
-        order = prefix.variables
-        seen: set[tuple[bool, ...]] = set()
-        for values in itertools.product((False, True), repeat=n):
-            sigma = dict(zip(order, values))
-            image = g.apply_to_assignment(sigma)
-            seen.add(tuple(image[v] for v in order))
-        if len(seen) != 2**n:
-            violations.append(
-                (1, "induced assignment map is not a bijection on total assignments")
-            )
+            raise CapExceededError(f"condition-1 check over {n} variables exceeds cap {cap}")
+        if len(set(g.play_table(prefix.variables))) != 2**n:
+            violations.append((1, "the map is not a bijection on total assignments"))
 
     violations.sort()
     return AdmissibilityReport(ok=not violations, violations=tuple(violations))
@@ -239,6 +256,8 @@ def is_syntactic_symmetry(g: SignedPermutation, instance: QbfInstance) -> bool:
     themselves.  This is sufficient for g to map the matrix to an
     equivalent matrix, but not necessary.
     """
+    if not isinstance(g, SignedPermutation):
+        raise ValidationError("the syntactic symmetry check needs a signed permutation")
     report = check_admissible(g, instance.prefix)
     if not report.ok:
         raise ValidationError(f"generator is not admissible: {report.violations}")

@@ -28,10 +28,10 @@ an orbit is named by that set of play orbits, its class. ``orbit_classes``
 builds the family of all classes, and of those holding a strategy that a
 breaker keeps, as two nodes of one zero-suppressed decision diagram
 (``Zdd``) in one bottom-up pass over the game tree, without building any
-strategy; plays there are integers, and each generator is compiled once
-into a table of play indices. The enumerating ``semantic_orbits``, which
-walks each play's orbit from the generators, is the reference it is
-tested against.
+strategy; plays there are integers, and each generator, a signed
+permutation or a formula map, is compiled once into its ``play_table``.
+The enumerating ``semantic_orbits``, which walks each play's orbit from
+the generators, is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Iterable, Iterator, Mapping
 from .errors import CapExceededError, MissingAssignmentError, ValidationError
 from .formulas import Const, Formula, evaluate, substitute, truth_table, variables
 from .qdimacs import EXISTS, FORALL, Prefix, QbfInstance
-from .groups import SignedPermutation, orbit_of_assignment
+from .groups import AdmissibleMap, SignedPermutation, orbit_of_assignment
 
 EXISTENTIAL = EXISTS
 UNIVERSAL = FORALL
@@ -285,7 +285,7 @@ def common_path(s: Strategy, t: Strategy) -> dict[int, bool]:
 
 def semantic_orbits(
     prefix: Prefix,
-    generators: Iterable[SignedPermutation],
+    generators: Iterable[SignedPermutation | AdmissibleMap],
     cap: int = ENUMERATION_CAP,
     role: str = EXISTENTIAL,
 ) -> list[list[Strategy]]:
@@ -322,37 +322,15 @@ def semantic_orbits(
 
 
 def _play_orbits(
-    prefix: Prefix, generators: Iterable[SignedPermutation]
+    prefix: Prefix, generators: Iterable[SignedPermutation | AdmissibleMap]
 ) -> tuple[array, list[int]]:
-    """The orbit ordinal of every play, and the least play of each orbit by
-    ordinal; one increasing scan numbers the orbits by their least plays.
-
-    Play p assigns the prefix variables the binary digits of p, the first
-    variable most significant. Each generator is compiled once into the
-    table of its images, built by doubling over the bit positions: the
-    image of p is a flip mask xor the images of p's set bits, and only the
-    variables that the generator moves change a bit's image.
-    """
-    order = prefix.variables
-    n = len(order)
-    bit = {v: n - 1 - i for i, v in enumerate(order)}
-    tables = []
-    for g in generators:
-        if g.domain != prefix.domain:
-            raise ValidationError("generators must act on exactly the prefix variables")
-        flip, masks = 0, [1 << k for k in range(n)]
-        for v, image in g.moved:
-            # the image play takes v's value from abs(image)'s, negated by a sign
-            masks[bit[abs(image)]] = 1 << bit[v]
-            if image < 0:
-                flip |= 1 << bit[v]
-        table = array("l", [flip])
-        for mask in masks:
-            table.extend([p ^ mask for p in table])
-        tables.append(table)
-    ordinal = array("l", [-1]) * 2**n
+    """The orbit ordinal of every play, numbered as in ``truth_table``, and
+    the least play of each orbit by ordinal; one increasing scan numbers the
+    orbits by their least plays. Each generator's ``play_table`` is built once."""
+    tables = [g.play_table(prefix.variables) for g in generators]
+    ordinal = array("l", [-1]) * 2**prefix.n
     leasts: list[int] = []
-    for least in range(2**n):
+    for least in range(len(ordinal)):
         if ordinal[least] >= 0:
             continue
         count = ordinal[least] = len(leasts)
@@ -493,15 +471,15 @@ class Zdd:
 
 def orbit_classes(
     prefix: Prefix,
-    generators: Iterable[SignedPermutation],
+    generators: Iterable[SignedPermutation | AdmissibleMap],
     role: str,
     kept: int,
 ) -> tuple[Zdd, int, int, int, list[int]]:
     """The orbit classes of one player's strategies, without enumerating them.
 
     A class is the set of play orbits that the strategies of one
-    ``semantic_orbits`` orbit touch. Plays are integers as in
-    ``_play_orbits``, and bit p of ``kept`` accepts play p. Returns a
+    ``semantic_orbits`` orbit touch, for maps of either class. Plays are
+    integers as in ``_play_orbits``; bit p of ``kept`` accepts play p. Returns a
     ``Zdd`` over orbit ordinals with two of its nodes, the family of all
     classes and that of the classes with a strategy all of whose plays
     ``kept`` accepts, the number of such strategies, and the least play of

@@ -140,6 +140,37 @@ def random_signed_perm(rng: random.Random, prefix: Prefix):
     return SignedPermutation.from_dict(random_signed_images(rng, prefix))
 
 
+def random_xor_map(rng: random.Random, prefix: Prefix):
+    """Random block-respecting map of every variable to a formula such as
+    z -> y xor z, bijective by construction. Within a block, in a random
+    order, the i-th variable is mapped to a signed i-th target xor some of
+    the earlier targets: triangular over the targets, so invertible."""
+    from qsymbreak.groups import AdmissibleMap
+
+    images = {}
+    for block in prefix.blocks:
+        sources, targets = list(block.variables), list(block.variables)
+        rng.shuffle(sources)
+        rng.shuffle(targets)
+        for i, v in enumerate(sources):
+            image = literal(targets[i] if rng.random() < 0.5 else -targets[i])
+            for w in targets[:i]:
+                if rng.random() < 0.5:
+                    image = xor(image, Var(w))
+            images[v] = image
+    return AdmissibleMap.from_dict(images)
+
+
+def is_bijection(images: dict[int, Formula], var_ids: list[int]) -> bool:
+    """Does sigma -> (value of images[v] under sigma, for each v) reach every
+    total assignment of ``var_ids``?  Every assignment is pushed through."""
+    reached = set()
+    for values in itertools.product((False, True), repeat=len(var_ids)):
+        sigma = dict(zip(var_ids, values))
+        reached.add(tuple(evaluate(images[v], sigma) for v in var_ids))
+    return len(reached) == 2 ** len(var_ids)
+
+
 def random_involution(rng: random.Random, prefix: Prefix):
     """Random nonidentity block-respecting signed involution."""
     from qsymbreak.groups import SignedPermutation

@@ -116,6 +116,19 @@ def test_inadmissible_generator_rejected():
         lex_leader_formula(PREFIX_AEE, [cross_block])
 
 
+def test_verify_breaker_rejects_inadmissible_generators():
+    cross_block = SignedPermutation.from_dict({1: 2, 2: 1, 3: 3})
+    not_bijective = AdmissibleMap.from_dict({1: Var(1), 2: Var(2), 3: Var(2)})
+    for g in (cross_block, not_bijective):
+        with pytest.raises(ValidationError, match="inadmissible"):
+            verify_breaker(PREFIX_AEE, [SWAP, g], TRUE)
+        # the caps are checked first and keep their messages
+        with pytest.raises(CapExceededError, match="16 strategies exceed enumeration cap 15"):
+            verify_breaker(PREFIX_AEE, [g], TRUE, cap=15)
+    xor_z = AdmissibleMap.from_dict({1: Var(1), 2: Var(2), 3: oracles.xor(Var(2), Var(3))})
+    assert verify_breaker(PREFIX_AEE, [SWAP, xor_z], TRUE).ok
+
+
 def test_formula_image_generator_rejected():
     xor_map = AdmissibleMap.from_dict({1: Var(1), 2: Var(2), 3: Var(3)})
     with pytest.raises(ValidationError, match="literal"):
@@ -654,31 +667,46 @@ def enumerated_report(prefix, gens, formula, pol):
 def test_verify_breaker_matches_a_strategy_value_report():
     # verify_breaker reads psi once per play; the reference evaluates it
     # on every path of every strategy
+    for draw in (oracles.random_involution, oracles.random_xor_map):
+        _check_reports_on_random_breakers(draw)
+
+
+def _check_reports_on_random_breakers(draw):
+    """``verify_breaker`` against ``enumerated_report`` on 160 random cases
+    whose generators ``draw`` makes. Formula maps such as z -> y xor z have
+    no chain, so in place of their lex-leader breaker they get the constant
+    one of no generators."""
     rng = random.Random(58)
     seen = {(EXISTS, True): 0, (EXISTS, False): 0, (FORALL, True): 0, (FORALL, False): 0}
     for _ in range(160):
         prefix = oracles.random_prefix(rng, rng.randint(1, 4))
-        gens = [oracles.random_involution(rng, prefix) for _ in range(rng.randint(0, 2))]
+        gens = [draw(rng, prefix) for _ in range(rng.randint(0, 2))]
         pol = rng.choice((EXISTS, FORALL))
         if rng.random() < 0.5:
             formula = oracles.random_formula(rng, list(prefix.variables))
             psi = BreakerFormula(pol, formula if pol == EXISTS else Not(formula))
         else:
             make = lex_leader_formula if pol == EXISTS else universal_lex_leader_formula
-            psi = make(prefix, gens)
+            psi = make(prefix, [g for g in gens if isinstance(g, SignedPermutation)])
         report = verify_breaker(prefix, gens, psi)
         assert report == enumerated_report(prefix, gens, psi.formula, pol)
         seen[pol, report.ok] += 1
-    assert all(count >= 10 for count in seen.values()), seen
+    assert all(count >= 10 for count in seen.values()), (draw.__name__, seen)
 
 
 def test_orbit_classes_agree_with_enumeration_on_random_breakers():
-    # random formulas, not lex-leader breakers, so that orbits go uncovered
+    # random formulas, not lex-leader breakers, so that orbits go uncovered;
+    # the generators are signed involutions, then formula maps
+    for draw in (oracles.random_involution, oracles.random_xor_map):
+        _check_classes_on_random_breakers(draw)
+
+
+def _check_classes_on_random_breakers(draw):
     rng = random.Random(59)
     uncovered_seen = {EXISTS: 0, FORALL: 0}
     for _ in range(400):
         prefix = oracles.random_prefix(rng, rng.randint(1, 4))
-        gens = [oracles.random_involution(rng, prefix) for _ in range(rng.randint(1, 2))]
+        gens = [draw(rng, prefix) for _ in range(rng.randint(1, 2))]
         pol = rng.choice((EXISTS, FORALL))
         formula = oracles.random_formula(rng, list(prefix.variables))
         psi = BreakerFormula(pol, formula if pol == EXISTS else Not(formula))
@@ -710,7 +738,7 @@ def test_orbit_classes_agree_with_enumeration_on_random_breakers():
         kept = orbit_classes(prefix, gens, pol, every_play)[3]
         assert kept == count_strategies(prefix, pol)
         uncovered_seen[pol] += bool(report.uncovered)
-    assert all(count >= 50 for count in uncovered_seen.values()), uncovered_seen
+    assert all(count >= 50 for count in uncovered_seen.values()), (draw.__name__, uncovered_seen)
 
 
 def test_verify_breaker_evaluates_psi_once_per_play():

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package under test."""
+"""Every demo script runs to completion against the package under test,
+and writes nothing to stderr: a stray warning or traceback fails it."""
 
 import subprocess
 import sys
@@ -23,3 +24,4 @@ def test_demo_exits_cleanly(demo, package_env):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

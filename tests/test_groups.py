@@ -8,7 +8,7 @@ import pytest
 
 from qsymbreak.detect import detect_symmetries, to_signed_permutations
 from qsymbreak.errors import CapExceededError, ValidationError
-from qsymbreak.formulas import Not, Var, equivalent
+from qsymbreak.formulas import Not, Or, Var, equivalent
 from qsymbreak.groups import (
     AdmissibleMap,
     SignedPermutation,
@@ -50,6 +50,20 @@ def test_cross_block_image_violates_condition_two():
     report = check_admissible(g, PREFIX_AABB)
     assert not report.ok
     assert {c for c, _ in report.violations} == {2}
+    # a formula map with a cross-block image inside the prefix gets both
+    # checks: swapping x1 and x3 is a bijection, copying x1 into x3 is not
+    swap = AdmissibleMap.from_dict({1: Var(3), 2: Var(2), 3: Var(1), 4: Var(4)})
+    assert {c for c, _ in check_admissible(swap, PREFIX_AABB).violations} == {2}
+    copy = AdmissibleMap.from_dict({1: Var(1), 2: Var(2), 3: Var(1), 4: Var(4)})
+    assert {c for c, _ in check_admissible(copy, PREFIX_AABB).violations} == {1, 2}
+
+
+def test_image_outside_the_prefix_is_reported_not_raised():
+    # x4 -> x4 | x9 has no play table over x1..x4; condition 2 names x9
+    g = AdmissibleMap.from_dict({1: Var(1), 2: Var(2), 3: Var(3), 4: Or((Var(4), Var(9)))})
+    report = check_admissible(g, PREFIX_AABB)
+    assert not report.ok
+    assert report.violations == ((2, "image of variable 4 uses [9] outside its quantifier block"),)
 
 
 def test_non_bijective_map_violates_condition_one():
@@ -64,6 +78,11 @@ def test_xor_map_is_admissible():
         {1: Var(1), 2: oracles.xor(Var(1), Var(2)), 3: Var(3), 4: oracles.xor(Var(3), Var(4))}
     )
     assert check_admissible(g, PREFIX_AABB).ok
+    # the same pairing at the cap, x_2i -> x_2i-1 xor x_2i over 16
+    # variables: one play table of 65,536 entries
+    prefix = Prefix.from_pairs([(FORALL, list(range(1, 9))), (EXISTS, list(range(9, 17)))])
+    images = {v: Var(v) if v % 2 else oracles.xor(Var(v - 1), Var(v)) for v in range(1, 17)}
+    assert check_admissible(AdmissibleMap.from_dict(images), prefix).ok
 
 
 def test_condition_one_cap():
@@ -72,6 +91,55 @@ def test_condition_one_cap():
     with pytest.raises(CapExceededError):
         check_admissible(g, prefix)
     assert check_admissible(g, prefix, cap=17).ok
+
+
+def test_condition_one_matches_a_brute_force_bijection_test():
+    rng = random.Random(23)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        prefix = oracles.random_prefix(rng, rng.randint(1, 6))
+        if rng.random() < 0.5:
+            images = dict(oracles.random_xor_map(rng, prefix).images)
+        else:  # block-respecting random formulas, rarely a bijection
+            images = {
+                v: oracles.random_formula(rng, list(block.variables), depth=2)
+                for block in prefix.blocks
+                for v in block.variables
+            }
+        expected = oracles.is_bijection(images, list(prefix.variables))
+        report = check_admissible(AdmissibleMap.from_dict(images), prefix)
+        assert report.ok == expected
+        seen[expected] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_play_table_of_a_formula_map():
+    # forall x exists y z, z -> y xor z: play p = 4x + 2y + z goes to 4x + 2y + (y ^ z)
+    g = AdmissibleMap.from_dict({1: Var(1), 2: Var(2), 3: oracles.xor(Var(2), Var(3))})
+    assert list(g.play_table(PREFIX_XYZ.variables)) == [0, 1, 3, 2, 4, 5, 7, 6]
+    # the tables of the empty prefix hold its one play
+    assert list(AdmissibleMap.from_dict({}).play_table(())) == [0]
+    assert list(SignedPermutation.identity(()).play_table(())) == [0]
+    for h in (g, SWAP_YZ):
+        with pytest.raises(ValidationError):
+            h.play_table((1, 2))
+
+
+def test_signed_and_formula_play_tables_agree():
+    # a signed permutation compiles by doubling, its literal images as a
+    # formula map by truth tables; both must number and move plays alike
+    rng = random.Random(24)
+    for _ in range(500):
+        prefix = oracles.random_prefix(rng, rng.randint(1, 6))
+        g = oracles.random_signed_perm(rng, prefix)
+        literals = {v: oracles.literal(g.image(v)) for v in prefix.variables}
+        table = g.play_table(prefix.variables)
+        assert table == AdmissibleMap.from_dict(literals).play_table(prefix.variables)
+        order = prefix.variables
+        p = rng.randrange(2**prefix.n)
+        sigma = {v: bool(p >> (prefix.n - 1 - i) & 1) for i, v in enumerate(order)}
+        image = g.apply_to_assignment(sigma)
+        assert table[p] == sum(image[v] << (prefix.n - 1 - i) for i, v in enumerate(order))
 
 
 def test_domain_mismatch_raises():
@@ -146,6 +214,16 @@ def test_tautological_clause_is_compared_as_a_literal_set():
 def test_inadmissible_generator_rejected():
     g = SignedPermutation.from_dict({1: 3, 2: 2, 3: 1, 4: 4})
     with pytest.raises(ValidationError):
+        is_syntactic_symmetry(g, INSTANCE_AABB)
+
+
+def test_syntactic_check_needs_a_signed_permutation():
+    # admissible, but its images are formulas, not literals to put in clauses
+    g = AdmissibleMap.from_dict(
+        {1: Var(1), 2: Var(2), 3: Var(3), 4: oracles.xor(Var(3), Var(4))}
+    )
+    assert check_admissible(g, PREFIX_AABB).ok
+    with pytest.raises(ValidationError, match="signed permutation"):
         is_syntactic_symmetry(g, INSTANCE_AABB)
 
 
