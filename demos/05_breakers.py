@@ -2,9 +2,11 @@
 
 On the equality gadget the breaker for the Klein group {swap y z,
 negate y and z} is one chain per generator, here two clauses and no
-chain variables: the swap's chain is the lex-leader clause (~y | z), and
-the negation's the unit ~y, since a flipped variable never ties and ends
-its chain.  The projection is "not y": picking the lexicographically least
+chain variables: the swap's chain is the lex-leader clause (~y | z), since
+z ties whenever y does, and the negation's the unit ~y, since a flipped
+variable never ties and ends its chain.  A chain has one variable fewer
+than the positions before its last goal, so both of these have none.
+The projection is "not y": picking the lexicographically least
 strategy per orbit pins y to false while z stays free, and all four
 strategy orbits keep a representative.
 """

@@ -4,7 +4,10 @@ Generate a KBKF instance (false, one symmetry per level), detect its
 group, break it for the existential player, and confirm the verdict is
 unchanged.  The breaker checked for orbit coverage is the projection of
 the very chain that was conjoined: "x1 implies x2" for the level
-symmetry, which swaps x1 and x2 and negates x3.  The same steps are
+symmetry, which swaps x1 and x2 and negates x3.  That chain is the one
+clause (~x1 | x2) and adds no chain variable: x2 ties whenever x1 does,
+and the universal flip of x3 comes after the last existential position.
+The same steps are
 available as shell commands:
 
     qsymbreak gen kbkf 1 -o k1.qdimacs

@@ -6,18 +6,22 @@ lex-leader breaker keeps, from every semantic orbit of existential
 strategies, the ones that play lexicographically minimal assignments.  It
 is written once, as one clause chain per group element in the linear shape
 of Shatter (Aloul, Sakallah & Markov, IEEE TC 2006).  Chain positions are
-the variables ``x_0..x_{m-1}`` that ``g`` moves, in prefix order, up to its
-first flip ``g(x) = ~x``, which never ties, and without the later variable
-of each 2-cycle, which ties when its partner does.  The chain variable
-``y_j`` means "the play agrees with its image on x_0..x_{j-1}"; ``y_0``
-always holds and is left out.  Implication clauses
+the variables ``x_0..x_{m-1}`` that ``g`` moves, in prefix order.  Once
+the rest of a signed cycle ties, its last member always ties if the
+cycle's sign product is +1, so it is no position, and never ties if it is
+-1, so the chain ends there (a flip ``g(x) = ~x`` is the smallest case).
+The chain variable ``y_j`` means "the play agrees with its image on
+x_0..x_{j-1}"; ``y_0`` always holds and is left out.  Implication clauses
 ``(~y_j | ~x_j | g(x_j))`` enforce the breaker at existential positions,
-and per-position pairs extend the chain, recycling the implication at
+and per-position pairs define ``y_{j+1}``, recycling the implication at
 existential positions and testing equality at universal ones.  The chain
-stops at the last existential position, and duplicates are dropped: a
-swap's chain is the one clause ``(~v | w)``, a flip's the unit ``~v``.  The
-universal breaker is the existential one of the flipped prefix, negated
-clause by clause into cubes.
+stops at the last existential position L.  Only the goal at L reads
+``y_L``, which is resolved away (Een & Biere, SAT 2005): that goal is
+written once per pair clause of position L - 1, tautologies left out, so
+L positions before the last goal take L - 1 chain variables.  A swap's
+chain is the one clause ``(~v | w)``, a flip's the unit ``~v``.
+Duplicates are dropped.  The universal breaker is the existential one of
+the flipped prefix, negated clause by clause into cubes.
 
 The formula breaker psi is the chain's projection onto the prefix,
 ``project_chain``; for the existential breaker it is
@@ -45,7 +49,7 @@ from .formulas import (
     disj,
     neg,
 )
-from .groups import CLOSURE_CAP, SignedPermutation, check_admissible
+from .groups import CLOSURE_CAP, SignedPermutation, admissible_generators
 from .qdimacs import EXISTS, FORALL, Prefix, QbfInstance
 from .strategies import (
     ENUMERATION_CAP,
@@ -64,21 +68,11 @@ _MODE_ENCODINGS = {
 AUGMENT_MODES = tuple(_MODE_ENCODINGS)
 
 
-def _admissible(prefix: Prefix, generators) -> tuple:
-    """The distinct generators; one that is not admissible on the prefix raises."""
-    gens = tuple(dict.fromkeys(generators))
-    for g in gens:
-        violations = check_admissible(g, prefix).violations
-        if violations:
-            raise ValidationError("inadmissible generator: " + "; ".join(m for _, m in violations))
-    return gens
-
-
 def _checked_generators(prefix: Prefix, generators) -> tuple[SignedPermutation, ...]:
     gens = tuple(generators)
     if not all(isinstance(g, SignedPermutation) for g in gens):
         raise ValidationError("breakers need signed permutations, whose images are literals")
-    return _admissible(prefix, gens)
+    return admissible_generators(prefix, gens)
 
 
 def select_group_elements(
@@ -155,37 +149,67 @@ def _sorted_pair(a: int, b: int) -> tuple[int, ...]:
     return (a,) if a == b else tuple(sorted((a, b), key=abs))
 
 
+def _ties(v: int, w: int, exists: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two pair bodies by which a tie at position v defines the next
+    chain variable: the implication's literals recycled at an existential v,
+    equality with its image w at a universal one."""
+    return ((-v,), (w,)) if exists else (_sorted_pair(-v, -w), _sorted_pair(v, w))
+
+
+def _closing_signs(g: SignedPermutation, position) -> dict[int, int]:
+    """The last member of each signed cycle of ``g`` in prefix order, with
+    the cycle's sign product."""
+    images, closing = dict(g.moved), {}
+    while images:
+        v, w = images.popitem()
+        members, negated = [v], w < 0
+        while abs(w) != v:
+            members.append(abs(w))
+            w = images.pop(abs(w))
+            negated ^= w < 0
+        closing[max(members, key=position)] = -1 if negated else 1
+    return closing
+
+
 def _chain_for_generator(
     prefix: Prefix, g: SignedPermutation, next_aux: int
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
-    """The clause chain for one generator, and its [(aux, slot)].
-
-    Chain positions are the variables ``g`` moves, in prefix order, up to
-    the first flip ``g(x) = ~x``, which never ties; the later variable of a
-    2-cycle is skipped, since a tie at its partner ties it too.  The chain
-    stops at the last existential position, and is empty without one.
+    """The clause chain for one generator, and its [(aux, slot)]: the
+    last member of a signed cycle is skipped if the sign product is +1
+    and ends the chain if it is -1; the chain stops at the last
+    existential position L, and is empty without one; the goal at L is
+    written once per pair defining y_L, in place of ~y_L, unless that is
+    a tautology.
     """
     quantifier, position = prefix.quantifier_of, prefix._position.__getitem__
+    closing = _closing_signs(g, position)
     moved = []
     for v, w in sorted(g.moved, key=lambda pair: position(pair[0])):
-        if g.image_of_literal(w) == v and position(abs(w)) < position(v):
-            continue  # the later variable of a 2-cycle
+        sign = closing.get(v)
+        if sign == 1:
+            continue  # ties whenever the rest of its cycle does
         moved.append((v, w, quantifier(v) == EXISTS))
-        if w == -v:
-            break  # a flip
+        if sign == -1:
+            break  # never ties once the rest of its cycle does
     ranks = [r for r, (_, _, exists) in enumerate(moved) if exists]
     if not ranks:
         return [], []
-    # y_r for 0 < r <= the last existential rank; y_0 always holds and is
-    # left out.  Chain variables are numbered past the prefix, so a sorted
-    # clause lists its prefix literals first and its chain literals in
-    # increasing order
-    aux = range(next_aux, next_aux + ranks[-1])
+    last = ranks.pop()
+    v, w, _ = moved[last]
+    if not last:
+        return [_sorted_pair(-v, w)], []
+    # y_r for 0 < r < last; y_0 always holds and is left out.  Chain
+    # variables are numbered past the prefix, so a sorted clause lists its
+    # prefix literals first and its chain literals in increasing order
+    aux = range(next_aux, next_aux + last - 1)
     guard = [(), *((-y,) for y in aux)]  # ~y_r, and nothing for y_0
-    clauses = [(*_sorted_pair(-v, w), *guard[r]) for r, (v, w, exists) in enumerate(moved) if exists]
-    for r, (v, w, exists) in enumerate(moved[: ranks[-1]], 1):
-        pairs = ((-v,), (w,)) if exists else (_sorted_pair(-v, -w), _sorted_pair(v, w))
-        clauses += [(*lits, *guard[r - 1], aux[r - 1]) for lits in pairs]
+    clauses = [(*_sorted_pair(-moved[r][0], moved[r][1]), *guard[r]) for r in ranks]
+    for r in range(1, last):
+        clauses += [(*lits, *guard[r - 1], aux[r - 1]) for lits in _ties(*moved[r - 1])]
+    for lits in _ties(*moved[last - 1]):
+        body = {-v, w, *lits}
+        if not body & {-l for l in body}:
+            clauses.append((*sorted(body, key=abs), *guard[last - 1]))
     # y_r is quantified after the block of the position before it
     return clauses, [(y, prefix.block_index_of(v)) for y, (v, _, _) in zip(aux, moved)]
 
@@ -442,7 +466,8 @@ def verify_breaker(
     universal strategy on whose plays ``psi`` never holds.  ``psi`` may
     be a :class:`BreakerFormula` (the polarity is taken from it) or a
     plain formula, which is checked as an existential breaker.  The
-    generators, signed permutations or formula maps, must be admissible.
+    generators, signed permutations or formula maps, must be admissible:
+    ``orbit_classes`` checks them, and raises ``ValidationError``.
     ``psi`` is read once, as its ``prefix_table`` over the plays.  The
     orbits are the classes of the two families ``orbit_classes`` builds,
     all and covered: the breaker passes when the two are one node.  ``cap``
@@ -455,7 +480,6 @@ def verify_breaker(
     # the opponent's variables add plays but no strategies
     if prefix.n >= cap_bits(cap):
         raise CapExceededError(f"2**{prefix.n} plays exceed enumeration cap {cap}")
-    generators = _admissible(prefix, generators)
     n = prefix.n
     table = prefix_table(formula, prefix.variables)
     kept_plays = table if target else table ^ ((1 << 2**n) - 1)

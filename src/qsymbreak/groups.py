@@ -246,6 +246,17 @@ def check_admissible(
     return AdmissibilityReport(ok=not violations, violations=tuple(violations))
 
 
+def admissible_generators(prefix: Prefix, generators) -> tuple:
+    """The distinct generators; one that is not admissible on the prefix
+    raises ``ValidationError``."""
+    gens = tuple(dict.fromkeys(generators))
+    for g in gens:
+        violations = check_admissible(g, prefix).violations
+        if violations:
+            raise ValidationError("inadmissible generator: " + "; ".join(m for _, m in violations))
+    return gens
+
+
 def is_syntactic_symmetry(g: SignedPermutation, instance: QbfInstance) -> bool:
     """Does g map the clause multiset to itself?
 

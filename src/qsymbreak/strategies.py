@@ -47,7 +47,7 @@ from typing import Iterable, Iterator, Mapping
 from .errors import CapExceededError, MissingAssignmentError, ValidationError
 from .formulas import Const, Formula, evaluate, substitute, truth_table, variables
 from .qdimacs import EXISTS, FORALL, Prefix, QbfInstance
-from .groups import AdmissibleMap, SignedPermutation, orbit_of_assignment
+from .groups import AdmissibleMap, SignedPermutation, admissible_generators, orbit_of_assignment
 
 EXISTENTIAL = EXISTS
 UNIVERSAL = FORALL
@@ -296,9 +296,11 @@ def semantic_orbits(
     orbit is summarized by a canonical representative, so the relation is
     equality of touched-orbit fingerprints, which is transitive already; no
     extra closure step is needed. Each play's orbit is walked from the
-    generators once, the first time one of its members shows up.
+    generators once, the first time one of its members shows up. A generator
+    that is not admissible on the prefix raises ``ValidationError``, since a
+    map that is not a bijection does not split the plays into orbits.
     """
-    generators = list(generators)
+    generators = admissible_generators(prefix, generators)
     order = prefix.variables
     orbit_rep: dict[tuple[bool, ...], tuple[bool, ...]] = {}
 
@@ -487,12 +489,13 @@ def orbit_classes(
     them: a play is one strategy of the class {its orbit}; at the player's
     own variable a strategy follows one child, so families unite and counts
     add; at the opponent's it answers both, so families join and counts
-    multiply. ``verify_breaker`` caps the strategy count and the plays.
+    multiply. ``verify_breaker`` caps the strategy count and the plays. A
+    generator that is not admissible raises, as in ``semantic_orbits``.
     """
     order = prefix.variables
     n = len(order)
     own = [prefix.quantifier_of(v) == role for v in order]
-    ordinal, leasts = _play_orbits(prefix, generators)
+    ordinal, leasts = _play_orbits(prefix, admissible_generators(prefix, generators))
     accepts = f"{kept:0{2**n}b}"[::-1]  # character p is bit p
     zdd = Zdd()
     leaves = [zdd.node(o, 0, 1) for o in range(len(leasts))]

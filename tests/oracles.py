@@ -97,13 +97,13 @@ def random_assignment(rng: random.Random, var_ids: list[int]) -> dict[int, bool]
     return {v: rng.random() < 0.5 for v in var_ids}
 
 
-def random_prefix(rng: random.Random, n: int) -> Prefix:
+def random_prefix(rng: random.Random, n: int, max_block: int = 3) -> Prefix:
     """Random prefix over variables 1..n with random block structure."""
     ids = list(range(1, n + 1))
     rng.shuffle(ids)
     pairs = []
     while ids:
-        size = rng.randint(1, min(3, len(ids)))
+        size = rng.randint(1, min(max_block, len(ids)))
         block, ids = ids[:size], ids[size:]
         pairs.append((rng.choice((EXISTS, FORALL)), block))
     return Prefix.from_pairs(pairs)
@@ -138,6 +138,55 @@ def random_signed_perm(rng: random.Random, prefix: Prefix):
     from qsymbreak.groups import SignedPermutation
 
     return SignedPermutation.from_dict(random_signed_images(rng, prefix))
+
+
+def random_signed_cycles(rng: random.Random, prefix: Prefix, max_len: int = 5):
+    """Random block-respecting signed permutation built cycle by cycle: each
+    block is cut into cycles of 1 to ``max_len`` variables, in random order
+    and with random signs, so fixed points, flips and cycles of either sign
+    product all occur."""
+    from qsymbreak.groups import SignedPermutation
+
+    images = {}
+    for block in prefix.blocks:
+        vs = list(block.variables)
+        rng.shuffle(vs)
+        while vs:
+            size = rng.randint(1, min(max_len, len(vs)))
+            cycle, vs = vs[:size], vs[size:]
+            for v, w in zip(cycle, cycle[1:] + cycle[:1]):
+                images[v] = w if rng.random() < 0.5 else -w
+    return SignedPermutation.from_dict(images)
+
+
+def chain_positions(prefix: Prefix, g) -> list[int]:
+    """The lex-leader chain positions of g, walked out by hand: the
+    variables g moves, in prefix order, each with its whole signed cycle.
+    The last member of a cycle in prefix order ties whenever the rest do if
+    the cycle's sign product is +1, and is left out; it never ties then if
+    the product is -1, and the chain ends there."""
+    positions = []
+    for v in prefix.variables:
+        sign = closing_sign(prefix, g, v)
+        if sign == 1:
+            continue  # a fixed point, or ties with the rest of its cycle
+        positions.append(v)
+        if sign == -1:
+            break  # never ties with the rest of its cycle
+    return positions
+
+
+def closing_sign(prefix: Prefix, g, v: int) -> int | None:
+    """The sign product of v's cycle under g if v is its last member in
+    prefix order, else None; a fixed point closes its own cycle with +1."""
+    order = list(prefix.variables)
+    members, lit = [v], g.image(v)
+    while abs(lit) != v:
+        members.append(abs(lit))
+        lit = g.image_of_literal(lit)
+    if max(members, key=order.index) == v:
+        return 1 if lit == v else -1
+    return None
 
 
 def random_xor_map(rng: random.Random, prefix: Prefix):

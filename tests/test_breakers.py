@@ -1,5 +1,6 @@
 """Lex-leader breakers: formulas, encodings, augmentation, verification."""
 
+import collections
 import itertools
 import random
 from unittest import mock
@@ -59,16 +60,31 @@ NEGATE_BOTH = SignedPermutation.from_dict({1: 1, 2: -2, 3: -3})
 
 # swapping x1, x2 and x3, x4 under forall x1 x2 exists x3 x4: the 2-cycle
 # partners x2 and x4 tie when x1 and x3 do, so the chain walks x1 and x3
-# only; chain variable 5 records the universal tie x1 <-> x2 and guards the
-# implication at x3
+# only; the goal at x3 is written once per clause of the universal tie
+# x1 <-> x2 in place of the one chain variable, which goes
 PREFIX_AAEE = Prefix.from_pairs([(FORALL, [1, 2]), (EXISTS, [3, 4])])
 DOUBLE_SWAP = SignedPermutation.from_dict({1: 2, 2: 1, 3: 4, 4: 3})
-EXPECTED_DOUBLE_SWAP_CLAUSES = {(-3, 4, -5), (-1, -2, 5), (1, 2, 5)}
+EXPECTED_DOUBLE_SWAP_CLAUSES = {(-1, -2, -3, 4), (1, 2, -3, 4)}
 
-# a 3-cycle in each block: unlike a swap or a flip, a longer cycle keeps
-# chain variables in both polarities (five existential, two universal)
-PREFIX_AAAEEE = Prefix.from_pairs([(FORALL, [1, 2, 3]), (EXISTS, [4, 5, 6])])
-CYCLES = SignedPermutation.from_dict({1: 2, 2: 3, 3: 1, 4: 5, 5: 6, 6: 4})
+# with a third swap, of x5 and x6, the chain walks x1, x3 and x5: chain
+# variable 7 records the universal tie x1 <-> x2 and guards the
+# implication at x3, and the goal at x5 is written once per clause of the
+# tie at x3 in place of the second chain variable
+PREFIX_AAEEEE = Prefix.from_pairs([(FORALL, [1, 2]), (EXISTS, [3, 4, 5, 6])])
+TRIPLE_SWAP = SignedPermutation.from_dict({1: 2, 2: 1, 3: 4, 4: 3, 5: 6, 6: 5})
+EXPECTED_TRIPLE_SWAP_CLAUSES = {
+    (-1, -2, 7),
+    (1, 2, 7),
+    (-3, 4, -7),
+    (-3, -5, 6, -7),
+    (4, -5, 6, -7),
+}
+
+# a 4-cycle in each block: the last member of each ties when the other
+# three do, and the three left keep chain variables in both polarities
+# (four existential, one universal)
+PREFIX_AAAAEEEE = Prefix.from_pairs([(FORALL, [1, 2, 3, 4]), (EXISTS, [5, 6, 7, 8])])
+CYCLES = SignedPermutation.from_dict({1: 2, 2: 3, 3: 4, 4: 1, 5: 6, 6: 7, 7: 8, 8: 5})
 
 
 def _chain_count(prefix, elements):
@@ -144,37 +160,44 @@ def test_chain_encoding_of_the_swap():
     assert enc.clauses == ((-2, 3),)
     assert enc.aux_vars == enc.aux_slots == ()
     assert enc.prefix == enc.original_prefix == PREFIX_AEE
-    # two swaps: one implication and one universal equality pair
+    # two swaps: the implication at x3 once per universal equality clause,
+    # and the one chain variable resolved away
     enc = encode_existential_cnf(PREFIX_AAEE, [DOUBLE_SWAP])
     assert set(enc.clauses) == EXPECTED_DOUBLE_SWAP_CLAUSES
-    assert len(enc.clauses) == 3
-    assert enc.aux_vars == (5,)
-    assert enc.aux_slots == ((5, 0),)
-    assert enc.prefix == Prefix.from_pairs([(FORALL, [1, 2]), (EXISTS, [5, 3, 4])])
-    assert enc.original_prefix == PREFIX_AAEE
+    assert len(enc.clauses) == 2
+    assert enc.aux_vars == enc.aux_slots == ()
+    assert enc.prefix == enc.original_prefix == PREFIX_AAEE
+    # three swaps: one guarded implication, one universal equality pair
+    # defining chain variable 7, and the last goal once per tie at x3
+    enc = encode_existential_cnf(PREFIX_AAEEEE, [TRIPLE_SWAP])
+    assert set(enc.clauses) == EXPECTED_TRIPLE_SWAP_CLAUSES
+    assert len(enc.clauses) == 5
+    assert enc.aux_vars == (7,)
+    assert enc.aux_slots == ((7, 0),)
+    assert enc.prefix == Prefix.from_pairs([(FORALL, [1, 2]), (EXISTS, [7, 3, 4, 5, 6])])
+    assert enc.original_prefix == PREFIX_AAEEEE
 
 
 def test_identity_compression_shortens_the_chain():
-    # x2 is fixed between the cycled x1, x3 and x4: the chain skips it, so
-    # two chain variables serve four prefix positions and x2 is absent
-    prefix = Prefix.from_pairs([(EXISTS, [1, 2, 3, 4])])
-    outer_cycle = SignedPermutation.from_dict({1: 3, 2: 2, 3: 4, 4: 1})
+    # x2 is fixed between the cycled x1, x3, x4 and x5: the chain skips it,
+    # and x5, which ties when the rest of its cycle does; one chain variable
+    # serves five prefix positions and x2 is absent
+    prefix = Prefix.from_pairs([(EXISTS, [1, 2, 3, 4, 5])])
+    outer_cycle = SignedPermutation.from_dict({1: 3, 2: 2, 3: 4, 4: 5, 5: 1})
     enc = encode_existential_cnf(prefix, [outer_cycle])
     assert set(enc.clauses) == {
         (-1, 3),
-        (-3, 4, -5),
-        (1, -4, -6),
-        (-1, 5),
-        (3, 5),
-        (-3, -5, 6),
-        (4, -5, 6),
+        (-3, 4, -6),
+        (-1, 6),
+        (3, 6),
+        (-3, -4, 5, -6),
     }
     assert all(2 not in map(abs, c) for c in enc.clauses)
-    assert enc.aux_vars == (5, 6)
-    assert enc.aux_slots == ((5, 0), (6, 0))
+    assert enc.aux_vars == (6,)
+    assert enc.aux_slots == ((6, 0),)
     assert enc.prefix == Prefix.from_pairs([(EXISTS, [1, 2, 3, 4, 5, 6])])
     # the outer swap of x1 and x3 skips x2 too, and is one clause
-    outer_swap = SignedPermutation.from_dict({1: 3, 2: 2, 3: 1, 4: 4})
+    outer_swap = SignedPermutation.from_dict({1: 3, 2: 2, 3: 1, 4: 4, 5: 5})
     assert encode_existential_cnf(prefix, [outer_swap]).clauses == ((-1, 3),)
 
 
@@ -191,14 +214,18 @@ def test_universal_encoding_negates_the_flipped_chain():
     assert encode_universal_dnf(prefix, [SWAP]).cubes == ((2, -3),)
     prefix = PREFIX_AAEE.flipped()
     enc = encode_universal_dnf(prefix, [DOUBLE_SWAP])
-    assert enc.polarity == FORALL
     assert set(enc.cubes) == {tuple(-l for l in c) for c in EXPECTED_DOUBLE_SWAP_CLAUSES}
-    assert enc.aux_vars == (5,)
-    assert enc.prefix == Prefix.from_pairs([(EXISTS, [1, 2]), (FORALL, [5, 3, 4])])
+    assert enc.aux_vars == ()
+    prefix = PREFIX_AAEEEE.flipped()
+    enc = encode_universal_dnf(prefix, [TRIPLE_SWAP])
+    assert enc.polarity == FORALL
+    assert set(enc.cubes) == {tuple(-l for l in c) for c in EXPECTED_TRIPLE_SWAP_CLAUSES}
+    assert enc.aux_vars == (7,)
+    assert enc.prefix == Prefix.from_pairs([(EXISTS, [1, 2]), (FORALL, [7, 3, 4, 5, 6])])
     with pytest.raises(ValidationError):
         enc.clauses
     with pytest.raises(ValidationError):
-        encode_existential_cnf(prefix, [DOUBLE_SWAP]).cubes
+        encode_existential_cnf(prefix, [TRIPLE_SWAP]).cubes
 
 
 def test_universal_encoding_is_empty_when_group_fixes_universals():
@@ -223,9 +250,9 @@ def test_cube_count_matches_flipped_clause_count():
 
 def test_start_var_must_clear_the_prefix():
     with pytest.raises(ValidationError, match="start_var"):
-        encode_existential_cnf(PREFIX_AAAEEE, [CYCLES], start_var=6)
-    enc = encode_existential_cnf(PREFIX_AAAEEE, [CYCLES], start_var=10)
-    assert enc.aux_vars == (10, 11, 12, 13, 14)
+        encode_existential_cnf(PREFIX_AAAAEEEE, [CYCLES], start_var=8)
+    enc = encode_existential_cnf(PREFIX_AAAAEEEE, [CYCLES], start_var=10)
+    assert enc.aux_vars == (10, 11, 12, 13)
 
 
 def _chain_extensions(sigma, aux_vars):
@@ -352,6 +379,56 @@ def test_shorter_chains_keep_the_projection():
         sign = 1 if own is enc_e else -1
         assert own.terms == (tuple(sorted((sign * l for l in clause), key=abs)),)
         assert own.aux_vars == other.aux_vars == other.terms == ()
+
+
+def test_closed_cycles_and_the_resolved_last_variable_keep_the_projection():
+    # signed cycles of 1 to 5 variables with either sign product, over mixed
+    # prefixes: the chain skips the last member of a +1 cycle, ends at that
+    # of a -1 cycle, and resolves its last chain variable into the last goal
+    rng = random.Random(2407)
+    references = (oracles.lex_leader_reference, oracles.universal_lex_leader_reference)
+    seen = collections.Counter()
+    for _ in range(400):
+        prefix = oracles.random_prefix(rng, rng.randint(1, 8), max_block=6)
+        gens = [oracles.random_signed_cycles(rng, prefix) for _ in range(rng.randint(1, 2))]
+        gens = [g for g in gens if g.moved]
+        order = prefix.variables
+        for enc, reference in zip(encode_both(prefix, gens), references):
+            psi = breaker_formula(enc).formula
+            assert truth_table(psi, order) == truth_table(reference(prefix, gens), order)
+        for g in gens:
+            for enc in encode_both(prefix, [g]):
+                chain_prefix = prefix if enc.polarity == EXISTS else prefix.flipped()
+                positions = oracles.chain_positions(chain_prefix, g)
+                exists = [chain_prefix.quantifier_of(v) == EXISTS for v in positions]
+                if True not in exists:
+                    assert enc.terms == enc.aux_vars == ()
+                    continue
+                last = len(exists) - 1 - exists[::-1].index(True)
+                # one chain variable fewer than the positions before the last goal
+                assert len(enc.aux_vars) == max(last - 1, 0)
+                # the positions up to the last goal, and their images, and
+                # no other prefix variable
+                used = {abs(l) for c in enc.terms for l in c} - set(enc.aux_vars)
+                assert used == {abs(x) for v in positions[: last + 1] for x in (v, g.image(v))}
+                seen["resolved"] += last > 0
+                moved = [v for v in chain_prefix.variables if g.image(v) != v]
+                skipped = set(moved[: moved.index(positions[last])]) - set(positions)
+                seen["+1 closer skipped"] += bool(skipped)
+                end = positions[-1]
+                ended = oracles.closing_sign(chain_prefix, g, end) == -1
+                beyond = moved[moved.index(end) + 1 :]
+                seen["ended at a -1 closer"] += ended and any(
+                    chain_prefix.quantifier_of(v) == EXISTS for v in beyond
+                )
+    assert min(seen.values()) >= 50, seen
+
+    # the 3-cycle (x1 x3 x4) around the fixed x2: x4 ties when x1 and x3 do,
+    # and the goal at x3 reads the tie at x1 in place of a chain variable
+    prefix = Prefix.from_pairs([(EXISTS, [1, 2, 3, 4])])
+    enc = encode_existential_cnf(prefix, [SignedPermutation.from_dict({1: 3, 2: 2, 3: 4, 4: 1})])
+    assert enc.clauses == ((-1, 3), (-1, -3, 4))
+    assert enc.aux_vars == ()
 
 
 def test_breaker_formula_projects_an_encoded_pair():
@@ -505,7 +582,7 @@ def test_encode_both_on_an_empty_prefix(text):
 
 
 def test_encode_both_numbers_the_universal_chain_after_the_existential():
-    inst = QbfInstance(prefix=PREFIX_AAAEEE, clauses=((1, 2, 3), (4, 5, 6)))
+    inst = QbfInstance(prefix=PREFIX_AAAAEEEE, clauses=((1, 2, 3, 4), (5, 6, 7, 8)))
     gens = [CYCLES]
     assert is_syntactic_symmetry(CYCLES, inst)
     enc_e, enc_u = encode_both(inst.prefix, gens)
@@ -517,24 +594,24 @@ def test_encode_both_numbers_the_universal_chain_after_the_existential():
 
 
 def test_augment_rejects_mismatches():
-    enc = encode_existential_cnf(PREFIX_AAAEEE, [CYCLES])
+    enc = encode_existential_cnf(PREFIX_AAAAEEEE, [CYCLES])
     other = QbfInstance(
-        prefix=Prefix.from_pairs([(EXISTS, [1, 2, 3, 4, 5, 6])]), clauses=((1, 2),)
+        prefix=Prefix.from_pairs([(EXISTS, [1, 2, 3, 4, 5, 6, 7, 8])]), clauses=((1, 2),)
     )
     with pytest.raises(ValidationError, match="different prefix"):
         augment_instance(other, enc, "conjoin-cnf")
-    inst = QbfInstance(prefix=PREFIX_AAAEEE, clauses=((4, 5, 6),))
+    inst = QbfInstance(prefix=PREFIX_AAAAEEEE, clauses=((5, 6, 7, 8),))
     with pytest.raises(ValidationError, match="unknown augment mode"):
         augment_instance(inst, enc, "minimize")
     with pytest.raises(ValidationError, match="universal encoding"):
         augment_instance(inst, enc, "attach-dnf")
     with pytest.raises(ValidationError, match="pair"):
         augment_instance(inst, enc, "combined")
-    clashing = encode_universal_dnf(PREFIX_AAAEEE, [CYCLES])
+    clashing = encode_universal_dnf(PREFIX_AAAAEEEE, [CYCLES])
     assert clashing.aux_vars
     with pytest.raises(ValidationError, match="share chain variables"):
         augment_instance(inst, (enc, clashing), "combined")
-    dual = encode_universal_dnf(PREFIX_AAAEEE, [CYCLES], start_var=max(enc.aux_vars) + 1)
+    dual = encode_universal_dnf(PREFIX_AAAAEEEE, [CYCLES], start_var=max(enc.aux_vars) + 1)
     for mode, bad in [
         ("conjoin-cnf", dual),
         ("conjoin-cnf", (enc, dual)),

@@ -35,7 +35,7 @@ UNIT = "p cnf 1 1\ne 1 0\n1 0\n"
 ASYMMETRIC = "p cnf 2 2\ne 1 2 0\n1 0\n1 2 0\n"
 KLEIN = "p cnf 3 2\na 1 0\ne 2 3 0\n-2 3 0\n2 -3 0\n"
 FORALL_PAIR = "p cnf 3 2\ne 1 0\na 2 3 0\n1 2 0\n1 3 0\n"
-FORALL_TRIPLE = "p cnf 4 3\ne 1 0\na 2 3 4 0\n1 2 0\n1 3 0\n1 4 0\n"
+FORALL_QUAD = "p cnf 5 4\ne 1 0\na 2 3 4 5 0\n1 2 0\n1 3 0\n1 4 0\n1 5 0\n"
 
 
 def run(capsys, *argv):
@@ -233,14 +233,15 @@ def test_break_exists_preserves_solve_verdict(tmp_path, capsys):
 
 
 def test_break_forall_emits_sidecar(tmp_path, capsys):
-    # a swap's universal chain is one cube; a 3-cycle's keeps chain variables
-    path = write(tmp_path, "ft.qdimacs", FORALL_TRIPLE)
-    gens = write(tmp_path, "gens.txt", "(2 3 4)\n")
+    # a swap's universal chain is one cube and a 3-cycle's two; a 4-cycle's
+    # keeps a chain variable
+    path = write(tmp_path, "fq.qdimacs", FORALL_QUAD)
+    gens = write(tmp_path, "gens.txt", "(2 3 4 5)\n")
     code, out, _ = run(capsys, "break", "--forall", "--generators", gens, path)
     assert code == 0
     prefix, cubes = parse_dnf(out)
     assert cubes
-    assert prefix.variables != (1, 2, 3, 4)  # chain variables were added
+    assert prefix.variables != (1, 2, 3, 4, 5)  # chain variables were added
 
 
 def test_break_forall_static_group_gives_empty_sidecar(tmp_path, capsys):
@@ -336,9 +337,10 @@ BREAK_ROUTES = {
 # sha256 of every route's exit code, stdout and output files, recorded
 # before break's three polarities shared one body; kbkf_2, planted_3 and
 # static_group re-recorded when the chains lost y_0, 2-cycle partners and
-# the positions after a flip
+# the positions after a flip, and kbkf_2 again when the last chain
+# variable was resolved into the last goal
 PINNED_BREAKS = {
-    "kbkf_2": "91c82343c4ac635e1a049c53bcea9f8d1b7e169f5df7acd125f17c406a7fd44e",
+    "kbkf_2": "cbfdbb4bddf4327428d6c3b121601cb702404f84995bdfa8b788f97fb25ad49d",
     "planted_3": "49894b09ffaebdc7fb2ffe00d74e2f21c222a0e26af20b6658a5dabf9e95e8f9",
     "static_group": "787d7fbc530c64483ae2379f73b8e98f3d5637c7e8b8dd1f7e1e8c8d5e5614cc",
     "empty": "6faf8029295d960d7f98fee28ccb3201feabe11a6ef30bd87de5a42df59b0b11",

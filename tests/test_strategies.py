@@ -8,7 +8,7 @@ import pytest
 from qsymbreak.errors import CapExceededError, ValidationError
 from qsymbreak.formulas import TRUE, And, Not, Or, Var
 from qsymbreak import strategies
-from qsymbreak.groups import SignedPermutation
+from qsymbreak.groups import AdmissibleMap, SignedPermutation
 from qsymbreak.qdimacs import EXISTS, FORALL, Prefix, QbfInstance
 from qsymbreak.strategies import (
     EXISTENTIAL,
@@ -17,6 +17,7 @@ from qsymbreak.strategies import (
     common_path,
     count_strategies,
     enumerate_strategies,
+    orbit_classes,
     qbf_truth,
     random_strategy,
     semantic_orbits,
@@ -277,6 +278,25 @@ def test_identity_generators_give_singleton_orbits():
     assert len(orbits) == count_strategies(PREFIX_AE, EXISTENTIAL)
     assert all(len(o) == 1 for o in orbits)
     assert len(semantic_orbits(PREFIX_AE, [])) == 4
+
+
+def test_orbit_references_reject_an_inadmissible_map():
+    # x3 -> x2 with x1 and x2 fixed is no bijection of the plays, so it does
+    # not split them into orbits: the reference and the engine used to count
+    # 4 orbits and 9 classes; both now raise, as verify_breaker does
+    copy = AdmissibleMap.from_dict({1: Var(1), 2: Var(2), 3: Var(2)})
+    with pytest.raises(ValidationError, match="inadmissible"):
+        semantic_orbits(PREFIX_XYZ, [copy])
+    with pytest.raises(ValidationError, match="inadmissible"):
+        orbit_classes(PREFIX_XYZ, [copy], EXISTENTIAL, 0)
+    # a cross-block swap is refused too; an admissible map still counts
+    cross_block = SignedPermutation.from_dict({1: 2, 2: 1, 3: 3})
+    with pytest.raises(ValidationError, match="inadmissible"):
+        semantic_orbits(PREFIX_XYZ, [cross_block])
+    with pytest.raises(ValidationError, match="inadmissible"):
+        orbit_classes(PREFIX_XYZ, [cross_block], EXISTENTIAL, 0)
+    zdd, classes, *_ = orbit_classes(PREFIX_XYZ, [SWAP_YZ], EXISTENTIAL, 0)
+    assert zdd.count(classes) == len(semantic_orbits(PREFIX_XYZ, [SWAP_YZ]))
 
 
 def test_orbit_sizes_sum_to_strategy_count():
