@@ -24,13 +24,15 @@ the cells of its neighbors, the only signatures that changed.
 
 A graph of at least ``ASYMMETRY_TEST_VERTICES`` vertices first meets a
 cheaper test for a discrete root.  It refines in full rounds, keying each
-vertex by its id and the sum of fixed pseudo-random weights of its
-neighbors' ids, with no sorting and no relabelling.  Equal neighbor
-multisets give equal sums, so each of its splits is one the canonical
-signatures make too, and its partition is never finer than the canonical
-one: when it separates every vertex, the canonical root is discrete, with
-no probability involved.  A weight collision can only keep vertices
-together, and then the canonical refinement runs as before.
+vertex by one int, twice the fixed pseudo-random weight of its own id plus
+the weights of its neighbors' ids, with no sorting and no relabelling.
+Equal ids with equal neighbor multisets give equal keys, so by induction
+over the rounds its partition is never finer than the canonical one: when
+it separates every vertex, the canonical root is discrete, with no
+probability involved.  A key collision can keep a cell together or merge
+two cells, and both only coarsen the partition; a round that ends with no
+more cells than it started with answers False, and then the canonical
+refinement runs as before.
 
 The search returns a generating set of the automorphism group, not the
 group itself: one first path of individualization and refinement, then,
@@ -192,8 +194,10 @@ def _refine_rounds(adj, labels: list[int], cells: dict[int, list[int]], touched)
 def _asymmetric(graph: ColoredGraph) -> bool:
     """True when the asymmetry test of the module docstring separates
     every vertex, which proves the canonical root discrete.  A vertex's
-    new id is the first vertex with its key.  False comes from the first
-    round that adds no cell."""
+    key is one int, twice its own id's weight plus its neighbors' id
+    weights, and its new id is the first vertex with its key.  A collision
+    may merge cells, so False comes from the first round that ends with
+    no more cells than it started with."""
     n, adj = graph.n_vertices, graph.adjacency
     if len(graph.colors) != n:
         return False  # _refined rejects the coloring
@@ -203,10 +207,12 @@ def _asymmetric(graph: ColoredGraph) -> bool:
     cells = len(key)
     while cells < n:
         wid = list(map(weights.__getitem__, ids))
+        ids = None  # the last round's ids and keys go before the next are built
         key = {}
-        sums = [sum(map(wid.__getitem__, row)) for row in adj]
-        ids = list(map(key.setdefault, zip(ids, sums), range(n)))
-        if len(key) == cells:
+        get = wid.__getitem__
+        sums = (sum(map(get, row), 2 * w) for row, w in zip(adj, wid))
+        ids = list(map(key.setdefault, sums, range(n)))
+        if len(key) <= cells:
             return False
         cells = len(key)
     return True

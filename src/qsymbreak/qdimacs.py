@@ -3,8 +3,11 @@
 The parser is tolerant the way real-world QDIMACS consumers are: clause
 counts in the header are advisory (mismatch warns instead of failing), free
 matrix variables are bound by a synthetic outermost existential block and
-flagged, and clauses may span lines. The serializer is deterministic, so
-parse/serialize round-trips are byte-stable.
+flagged, clauses may span lines, and a leading UTF-8 byte-order mark is
+dropped. A parse keeps one int per distinct literal token, which every term
+holding it shares. The serializer is deterministic, so parse/serialize
+round-trips are byte-stable; it writes each line of a comment as its own
+comment line.
 
 The DNF sidecar format is project-defined since QDIMACS has no cube
 standard: header ``p dnf <vars> <cubes>``, QDIMACS quantifier lines, then
@@ -169,7 +172,8 @@ class QbfInstance:
 
 def _read_text(source: str | bytes | IO) -> str:
     data = source if isinstance(source, (str, bytes)) else source.read()
-    return data.decode("utf-8") if isinstance(data, bytes) else data
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    return text.removeprefix("\ufeff")  # a UTF-8 byte-order mark
 
 
 # per format: the word for one term, and the word for a term holding l and -l
@@ -202,6 +206,7 @@ def _read(source: str | bytes | IO, kind: str):
     current: list[int] = []
     current_line = 0
     dropped = 0
+    ints: dict[str, int] = {}  # one int per distinct token, shared by the terms
 
     def close_term() -> None:
         nonlocal dropped
@@ -266,12 +271,14 @@ def _read(source: str | bytes | IO, kind: str):
         if declared is None:
             raise QdimacsParseError("clause before problem line", lineno)
         for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise QdimacsParseError(
-                    f"unexpected token {tok!r}", lineno, _column(raw, tok)
-                ) from None
+            lit = ints.get(tok)
+            if lit is None:
+                try:
+                    lit = ints[tok] = int(tok)
+                except ValueError:
+                    raise QdimacsParseError(
+                        f"unexpected token {tok!r}", lineno, _column(raw, tok)
+                    ) from None
             if lit:
                 if not current:
                     current_line = lineno
@@ -316,8 +323,9 @@ def _read(source: str | bytes | IO, kind: str):
 
 def _write(kind: str, prefix: Prefix, terms, comments: Iterable[str] = ()) -> str:
     out = io.StringIO()
-    for comment in comments:
-        out.write(f"c {comment}\n" if comment else "c\n")
+    # a comment line per line of each comment, so no line break starts a clause
+    for line in chain.from_iterable(c.splitlines() or [""] for c in comments):
+        out.write(f"c {line}\n" if line else "c\n")
     out.write(f"p {kind} {max(prefix.variables, default=0)} {len(terms)}\n")
     for block in prefix.blocks:
         out.write(f"{block.quantifier} {' '.join(map(str, block.variables))} 0\n")

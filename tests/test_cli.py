@@ -83,6 +83,14 @@ def test_parse_normalizes_and_is_idempotent(tmp_path, capsys):
     assert out2 == out
 
 
+def test_parse_reads_a_file_with_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.qdimacs"
+    path.write_bytes(b"\xef\xbb\xbf" + IFF_AE.encode())
+    code, out, err = run(capsys, "parse", str(path))
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "parse", write(tmp_path, "plain.qdimacs", IFF_AE))[1]
+
+
 def test_parse_rejects_garbage(tmp_path, capsys):
     path = write(tmp_path, "bad.qdimacs", "p cnf two 1\n1 0\n")
     code, _, err = run(capsys, "parse", path)

@@ -118,10 +118,40 @@ def test_parse_accepts_file_objects_and_bytes():
     assert parse_qdimacs(io.StringIO(text)) == parse_qdimacs(text.encode()) == parse_qdimacs(text)
 
 
+def test_parse_drops_a_utf8_byte_order_mark():
+    for text in ("p cnf 2 1\ne 1 2 0\n1 -2 0\n", "c note\np cnf 1 1\ne 1 0\n1 0\n"):
+        expected = parse_qdimacs(text)
+        marked = "\ufeff" + text
+        for source in (marked, marked.encode(), io.StringIO(marked)):
+            inst = parse_qdimacs(source)
+            assert inst == expected
+            assert inst.comments == expected.comments
+
+
+def test_clauses_share_one_int_per_literal_value():
+    # ids above the interpreter's small-int cache, so sharing is the parser's
+    inst = parse_qdimacs("p cnf 1001 3\ne 1000 1001 0\n1000 -1001 0\n-1001 1000 0\n1001 1000 0\n")
+    (a, b), (c, d), (e, f) = inst.clauses
+    assert (a, b, f) == (1000, -1001, 1001)
+    assert a is c is e
+    assert b is d
+
+
 def test_comments_preserved():
     inst = parse_qdimacs("c hello\nc world\np cnf 1 1\ne 1 0\n1 0")
     assert inst.comments == ("hello", "world")
     assert serialize_qdimacs(inst).startswith("c hello\nc world\n")
+
+
+def test_comments_with_line_breaks_round_trip():
+    comments = ("note\n-1 0", "", "a\r\nb")
+    inst = QbfInstance(Prefix.from_pairs([(EXISTS, [1])]), ((1,),), comments=comments)
+    text = serialize_qdimacs(inst)
+    assert text == "c note\nc -1 0\nc\nc a\nc b\np cnf 1 1\ne 1 0\n1 0\n"
+    again = parse_qdimacs(text)
+    assert again == inst
+    assert again.comments == ("note", "-1 0", "", "a", "b")
+    assert serialize_qdimacs(again) == text
 
 
 def test_prefix_invariants_enforced():
