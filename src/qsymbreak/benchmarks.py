@@ -15,8 +15,8 @@ import re
 from .errors import ValidationError
 from .groups import SignedPermutation, format_generator
 from .qdimacs import EXISTS, FORALL, Prefix, QbfInstance, normalize_clause
+from .strategies import TRUTH_VAR_CAP
 
-RANDOM_VAR_CAP = 24
 _PATTERN = re.compile(r"([ae])(\d*)")
 
 
@@ -143,10 +143,8 @@ def _generate(
 ) -> tuple[QbfInstance, SignedPermutation | None]:
     if n < 1:
         raise ValidationError("need at least one variable")
-    if n > RANDOM_VAR_CAP:
-        raise ValidationError(
-            f"{n} variables exceed the oracle-checkable cap {RANDOM_VAR_CAP}"
-        )
+    if n > TRUTH_VAR_CAP:
+        raise ValidationError(f"{n} variables exceed the truth cap {TRUTH_VAR_CAP}")
     if m < 0:
         raise ValidationError("clause count must not be negative")
     rng = random.Random(seed)

@@ -38,9 +38,7 @@ from functools import cached_property
 
 from .errors import CapExceededError, ValidationError
 from .formulas import (
-    FALSE,
     And,
-    Cnf,
     Formula,
     Or,
     clauses_to_formula,
@@ -49,15 +47,9 @@ from .formulas import (
     disj,
     neg,
 )
-from .groups import CLOSURE_CAP, SignedPermutation, admissible_generators
-from .qdimacs import EXISTS, FORALL, Prefix, QbfInstance
-from .strategies import (
-    ENUMERATION_CAP,
-    cap_bits,
-    check_enumeration_cap,
-    orbit_classes,
-    prefix_table,
-)
+from .groups import CLOSURE_CAP, PLAY_VAR_CAP, SignedPermutation, admissible_generators
+from .qdimacs import EXISTS, FORALL, Prefix, QbfInstance, normalize_clause
+from .strategies import ENUMERATION_CAP, check_enumeration_cap, orbit_classes, prefix_table
 
 # per augment mode: the polarities of the encodings it takes, and how to say so
 _MODE_ENCODINGS = {
@@ -144,16 +136,12 @@ class EncodedBreaker:
         return self.terms
 
 
-def _sorted_pair(a: int, b: int) -> tuple[int, ...]:
-    """The clause a | b, sorted, with a repeated literal written once."""
-    return (a,) if a == b else tuple(sorted((a, b), key=abs))
-
-
 def _ties(v: int, w: int, exists: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The two pair bodies by which a tie at position v defines the next
     chain variable: the implication's literals recycled at an existential v,
-    equality with its image w at a universal one."""
-    return ((-v,), (w,)) if exists else (_sorted_pair(-v, -w), _sorted_pair(v, w))
+    equality with its image w at a universal one.  A flip, w = ~v, ends its
+    chain and never ties, so neither pair is a tautology."""
+    return ((-v,), (w,)) if exists else (normalize_clause((-v, -w)), normalize_clause((v, w)))
 
 
 def _closing_signs(g: SignedPermutation, position) -> dict[int, int]:
@@ -197,19 +185,19 @@ def _chain_for_generator(
     last = ranks.pop()
     v, w, _ = moved[last]
     if not last:
-        return [_sorted_pair(-v, w)], []
+        return [normalize_clause((-v, w))], []
     # y_r for 0 < r < last; y_0 always holds and is left out.  Chain
     # variables are numbered past the prefix, so a sorted clause lists its
     # prefix literals first and its chain literals in increasing order
     aux = range(next_aux, next_aux + last - 1)
     guard = [(), *((-y,) for y in aux)]  # ~y_r, and nothing for y_0
-    clauses = [(*_sorted_pair(-moved[r][0], moved[r][1]), *guard[r]) for r in ranks]
+    clauses = [(*normalize_clause((-moved[r][0], moved[r][1])), *guard[r]) for r in ranks]
     for r in range(1, last):
         clauses += [(*lits, *guard[r - 1], aux[r - 1]) for lits in _ties(*moved[r - 1])]
     for lits in _ties(*moved[last - 1]):
-        body = {-v, w, *lits}
-        if not body & {-l for l in body}:
-            clauses.append((*sorted(body, key=abs), *guard[last - 1]))
+        body = normalize_clause((-v, w, *lits))
+        if body is not None:
+            clauses.append((*body, *guard[last - 1]))
     # y_r is quantified after the block of the position before it
     return clauses, [(y, prefix.block_index_of(v)) for y, (v, _, _) in zip(aux, moved)]
 
@@ -296,11 +284,6 @@ class BreakerFormula:
             raise ValidationError(f"bad polarity {self.polarity!r}")
 
 
-def _clauses(rests) -> Formula:
-    """The clause list ``rests`` as one node, FALSE if a clause is empty."""
-    return Cnf(tuple(rests)) if all(rests) else FALSE
-
-
 def project_chain(clauses, chain) -> Formula:
     """Exists-``chain`` of a clause list, as a formula over its other variables.
 
@@ -339,12 +322,12 @@ def project_chain(clauses, chain) -> Formula:
         # the least values one chain, not a tree exponential in k
         shared = set.intersection(*map(set, bodies)) if bodies else set()
         cases = (
-            conj((*(least[j] for j in reads if j not in shared), neg(_clauses(rests))))
+            conj((*(least[j] for j in reads if j not in shared), neg(clauses_to_formula(rests))))
             for reads, rests in bodies.items()
         )
         least.append(conj((*(least[j] for j in sorted(shared)), disj(cases))))
     return conj(
-        disj((neg(conj([least[j] for j in reads])), _clauses(rests)))
+        disj((neg(conj([least[j] for j in reads])), clauses_to_formula(rests)))
         for reads, rests in goals.items()
     )
 
@@ -471,16 +454,18 @@ def verify_breaker(
     ``psi`` is read once, as its ``prefix_table`` over the plays.  The
     orbits are the classes of the two families ``orbit_classes`` builds,
     all and covered: the breaker passes when the two are one node.  ``cap``
-    bounds the player's strategy count, as in ``semantic_orbits``, and the plays.
+    bounds the player's strategy count, as in ``semantic_orbits``.  A prefix
+    of more than ``PLAY_VAR_CAP`` variables raises ``CapExceededError`` at
+    any ``cap``, before a table over its 2**n plays is built.
     """
     formula, pol = (psi.formula, psi.polarity) if isinstance(psi, BreakerFormula) else (psi, EXISTS)
     target = pol == EXISTS
     # a polarity is the role it checks: EXISTENTIAL is EXISTS, UNIVERSAL FORALL
     check_enumeration_cap(prefix, pol, cap)
     # the opponent's variables add plays but no strategies
-    if prefix.n >= cap_bits(cap):
-        raise CapExceededError(f"2**{prefix.n} plays exceed enumeration cap {cap}")
     n = prefix.n
+    if n > PLAY_VAR_CAP:
+        raise CapExceededError(f"2**{n} plays exceed the play bound 2**{PLAY_VAR_CAP}")
     table = prefix_table(formula, prefix.variables)
     kept_plays = table if target else table ^ ((1 << 2**n) - 1)
     zdd, classes, covered, kept, leasts = orbit_classes(prefix, generators, pol, kept_plays)

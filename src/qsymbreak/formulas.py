@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import CapExceededError, MissingAssignmentError
 
@@ -140,7 +140,7 @@ def clauses_to_formula(clauses: Iterable[Iterable[int]]) -> Formula:
     terms = tuple(map(tuple, clauses))
     if any(0 in clause for clause in terms):
         raise ValueError("literal 0 is not a variable")
-    return substitute(Cnf(terms), {})
+    return (Cnf(terms) if all(terms) else FALSE) if terms else TRUE
 
 
 def cubes_to_formula(cubes: Iterable[Iterable[int]]) -> Formula:
@@ -308,13 +308,6 @@ def variables(formula: Formula) -> frozenset[int]:
         elif isinstance(node, Cnf):
             out.update(map(abs, itertools.chain.from_iterable(node.clauses)))
     return frozenset(out)
-
-
-def all_assignments(var_ids: Iterable[int]) -> Iterator[dict[int, bool]]:
-    """All total assignments over the given variables, binary counting order."""
-    ids = tuple(dict.fromkeys(var_ids))
-    for values in itertools.product((False, True), repeat=len(ids)):
-        yield dict(zip(ids, values))
 
 
 def equivalent(

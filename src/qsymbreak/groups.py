@@ -29,7 +29,9 @@ from .errors import CapExceededError, ValidationError
 from .formulas import Formula, evaluate, literal, map_variables, truth_table, variables
 from .qdimacs import Prefix, QbfInstance
 
-ADMISSIBLE_VAR_CAP = 16
+# a play table covers the 2**n plays of an n-variable prefix; no table is
+# built, and no check over all plays runs, past this many variables
+PLAY_VAR_CAP = 16
 CLOSURE_CAP = 10_000
 
 
@@ -208,16 +210,13 @@ class AdmissibilityReport:
         return self.ok
 
 
-def check_admissible(
-    g: SignedPermutation | AdmissibleMap,
-    prefix: Prefix,
-    cap: int = ADMISSIBLE_VAR_CAP,
-) -> AdmissibilityReport:
+def check_admissible(g: SignedPermutation | AdmissibleMap, prefix: Prefix) -> AdmissibilityReport:
     """Check both admissibility conditions against a prefix.
 
     Condition 1 (the map commutes with evaluation) holds for a general map
-    whose ``play_table`` reaches all 2**n plays, checked if n <= cap and the
-    images stay in the prefix; signed permutations satisfy it structurally.
+    whose ``play_table`` reaches all 2**n plays, checked when the images
+    stay in the prefix; past ``PLAY_VAR_CAP`` variables that check raises
+    ``CapExceededError``. Signed permutations satisfy it structurally.
     Condition 2 keeps each image's variables inside the source variable's
     quantifier block; a signed permutation is checked on those it moves.
     """
@@ -237,8 +236,10 @@ def check_admissible(
 
     if isinstance(g, AdmissibleMap) and not any(None in map(block, stray) for _, stray in strays):
         n = len(prefix.variables)
-        if n > cap:
-            raise CapExceededError(f"condition-1 check over {n} variables exceeds cap {cap}")
+        if n > PLAY_VAR_CAP:
+            raise CapExceededError(
+                f"condition-1 check over {n} variables exceeds the play bound {PLAY_VAR_CAP}"
+            )
         if len(set(g.play_table(prefix.variables))) != 2**n:
             violations.append((1, "the map is not a bijection on total assignments"))
 

@@ -150,19 +150,15 @@ def count_strategies(prefix: Prefix, role: str) -> int:
     return 2 ** _label_count(prefix, role)
 
 
-def cap_bits(cap: int) -> int:
-    """The least k with 2**k > cap: 2**bits > cap exactly when bits >= cap_bits(cap)."""
-    return max(cap, 0).bit_length()
-
-
 def check_enumeration_cap(prefix: Prefix, role: str, cap: int) -> None:
     """Raise CapExceededError when the role has more than ``cap`` strategies.
 
-    Works on the exponent (``cap_bits``) and never builds a large count. A
-    slot with that many opponents before it exceeds the cap alone, so each
-    term is clamped there and the sum stays small however long the prefix is.
+    Works on the exponent and never builds a large count: ``need`` is the
+    least k with 2**k > cap. A slot with that many opponents before it
+    exceeds the cap alone, so each term is clamped there and the sum stays
+    small however long the prefix is.
     """
-    need = cap_bits(cap)
+    need = max(cap, 0).bit_length()
     befores = [before for _, before in _slots(prefix, role)]
     bits = sum(2 ** min(before, need) for before in befores)
     if bits < need:

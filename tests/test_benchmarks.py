@@ -10,7 +10,6 @@ import random
 import pytest
 
 from qsymbreak.benchmarks import (
-    RANDOM_VAR_CAP,
     gen_kbkf,
     gen_planted_qbf,
     gen_random_qbf,
@@ -20,7 +19,7 @@ from qsymbreak.detect import brute_force_symmetries, detect_symmetries
 from qsymbreak.errors import ValidationError
 from qsymbreak.groups import group_closure, is_syntactic_symmetry
 from qsymbreak.qdimacs import EXISTS, FORALL, parse_qdimacs, serialize_qdimacs
-from qsymbreak.strategies import qbf_truth
+from qsymbreak.strategies import TRUTH_VAR_CAP, qbf_truth
 
 
 def test_kbkf_one_level_frozen():
@@ -146,7 +145,7 @@ def test_infeasible_parameters_are_rejected():
         (1, 4, 4, "a0e4"),
         (1, 1, 4, "ea"),     # two blocks cannot share one variable
         (1, 0, 4, "e"),
-        (1, RANDOM_VAR_CAP + 1, 4, "e"),
+        (1, TRUTH_VAR_CAP + 1, 4, "e"),
         (1, 4, -1, "e"),
     ]:
         with pytest.raises(ValidationError):

@@ -29,6 +29,7 @@ from qsymbreak.detect import detect_symmetries
 from qsymbreak.errors import CapExceededError, ValidationError
 from qsymbreak.formulas import FALSE, TRUE, Not, Or, Var, equivalent, evaluate, truth_table
 from qsymbreak.groups import (
+    PLAY_VAR_CAP,
     AdmissibleMap,
     SignedPermutation,
     is_syntactic_symmetry,
@@ -837,15 +838,32 @@ def test_verify_breaker_evaluates_psi_once_per_play():
 
 
 def test_verify_breaker_bounds_the_plays():
-    # n universals give the existential player one strategy but 2**n plays
+    # n universals give the existential player one strategy but 2**n plays;
+    # the play bound alone stops them, whatever the strategy cap
     def universals(n):
         return Prefix.from_pairs([(FORALL, list(range(1, n + 1)))])
 
-    with pytest.raises(CapExceededError, match=r"2\*\*21 plays exceed enumeration cap 1048576"):
-        verify_breaker(universals(21), [], TRUE)
-    assert verify_breaker(universals(4), [], TRUE, cap=16).ok
-    with pytest.raises(CapExceededError, match="plays"):
-        verify_breaker(universals(5), [], TRUE, cap=16)
+    assert PLAY_VAR_CAP == 16
+    for n, cap in [(17, 1), (17, 2**20), (17, 2**200), (21, 2**20)]:
+        message = rf"2\*\*{n} plays exceed the play bound 2\*\*16"
+        with pytest.raises(CapExceededError, match=message):
+            verify_breaker(universals(n), [], TRUE, cap=cap)
+    # it stops before psi's table and the orbit pass are built
+    swap = SignedPermutation.from_dict({v: v for v in range(3, 21)} | {1: 2, 2: 1})
+    with (
+        mock.patch.object(breakers, "prefix_table", side_effect=AssertionError),
+        mock.patch.object(breakers, "orbit_classes", side_effect=AssertionError),
+        pytest.raises(CapExceededError, match="play bound"),
+    ):
+        verify_breaker(universals(20), [swap], TRUE, cap=2**200)
+    # at the bound it goes on to psi's table (the whole check takes 1-2 s)
+    with (
+        mock.patch.object(breakers, "prefix_table", side_effect=LookupError("table")),
+        pytest.raises(LookupError, match="table"),
+    ):
+        verify_breaker(universals(16), [], TRUE, cap=1)
+    # the strategy cap no longer bounds the plays: one strategy, 2**8 plays
+    assert verify_breaker(universals(8), [], TRUE, cap=1).ok
     swap = SignedPermutation.from_dict({v: v for v in range(3, 15)} | {1: 2, 2: 1})
     report = verify_breaker(universals(14), [swap], Var(1))
     assert (report.ok, report.orbit_count, report.covered, report.kept) == (False, 1, 0, 0)

@@ -98,6 +98,21 @@ def test_parse_rejects_garbage(tmp_path, capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p cnf 1 1\np cnf 1 1\ne 1 0\n1 0\n", "line 2: duplicate problem line"),
+        ("c header\np cnf -2 0\n", "line 2: problem line counts must be nonnegative"),
+        ("p cnf 2 1\ne 1 0\na -2 0\n1 2 0\n", "line 3: negative variable in quantifier line"),
+        ("p cnf 1 1\n\ne 0\n1 0\n", "line 3: empty quantifier block"),
+    ],
+)
+def test_parse_names_the_line_of_a_bad_header(tmp_path, capsys, text, message):
+    code, _, err = run(capsys, "parse", write(tmp_path, "bad.qdimacs", text))
+    assert code == 2
+    assert err == f"input error: {message}\n"
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "parse", "/nonexistent/nowhere.qdimacs")
     assert code == 2
@@ -535,6 +550,17 @@ def test_verify_enumeration_cap_on_long_prefix(tmp_path, capsys):
     code, _, err = run(capsys, "verify", path)
     assert code == 3
     assert "enumeration cap" in err
+
+
+def test_verify_stops_at_the_play_bound(tmp_path, capsys):
+    # twenty universals give one existential strategy and 2**20 universal
+    # ones, which --cap admits, but 2**20 plays, which the play bound stops
+    universals = " ".join(map(str, range(1, 21)))
+    path = write(tmp_path, "u20.qdimacs", f"p cnf 20 0\na {universals} 0\n")
+    gens = write(tmp_path, "swap.txt", "(1 2)\n")
+    code, out, err = run(capsys, "verify", "--cap", str(2**20), "--generators", gens, path)
+    assert (code, out) == (3, "")
+    assert err == "cap exceeded: 2**20 plays exceed the play bound 2**16\n"
 
 
 def test_solve_cap_exceeded(tmp_path, capsys):

@@ -507,6 +507,22 @@ def test_conversion_rejects_malformed_supports():
             assert to_signed_permutations([bad, swap], inst) == (swapped,)
 
 
+def test_conversion_rechecks_the_syntactic_symmetry():
+    # literal vertices 0-7 for e 1 2, a 3 4; the clauses are (1 3) and (2 4).
+    # (1 2)(3 4) maps them onto each other; (1 2) alone maps (1 3) onto
+    # (2 3), outside the clause set; (1 3) fixes both, but across blocks
+    inst = QbfInstance(Prefix.from_pairs([(EXISTS, [1, 2]), (FORALL, [3, 4])]), ((1, 3), (2, 4)))
+    good = ((0, 2), (1, 3), (2, 0), (3, 1), (4, 6), (5, 7), (6, 4), (7, 5))
+    swapped = SignedPermutation.from_dict({1: 2, 2: 1, 3: 4, 4: 3})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DetectionWarning)
+        assert to_signed_permutations([good], inst) == (swapped,)
+    for bad in [((0, 2), (1, 3), (2, 0), (3, 1)), ((0, 4), (1, 5), (4, 0), (5, 1))]:
+        for supports in ([bad, good], [good, bad]):
+            with pytest.warns(DetectionWarning, match="not a syntactic symmetry"):
+                assert to_signed_permutations(supports, inst) == (swapped,)
+
+
 def test_detector_output_is_sound():
     rng = random.Random(909)
     for _ in range(100):

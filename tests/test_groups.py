@@ -10,6 +10,7 @@ from qsymbreak.detect import detect_symmetries, to_signed_permutations
 from qsymbreak.errors import CapExceededError, ValidationError
 from qsymbreak.formulas import Not, Or, Var, equivalent
 from qsymbreak.groups import (
+    PLAY_VAR_CAP,
     AdmissibleMap,
     SignedPermutation,
     check_admissible,
@@ -86,11 +87,16 @@ def test_xor_map_is_admissible():
 
 
 def test_condition_one_cap():
-    prefix = Prefix.from_pairs([(EXISTS, list(range(1, 18)))])
-    g = AdmissibleMap.from_dict({v: Var(v) for v in range(1, 18)})
-    with pytest.raises(CapExceededError):
-        check_admissible(g, prefix)
-    assert check_admissible(g, prefix, cap=17).ok
+    # condition 1 reads one play table over all 2**n plays, so it stops at
+    # the play bound that verify_breaker keeps too
+    def identity(n):
+        prefix = Prefix.from_pairs([(EXISTS, list(range(1, n + 1)))])
+        return AdmissibleMap.from_dict({v: Var(v) for v in range(1, n + 1)}), prefix
+
+    assert PLAY_VAR_CAP == 16
+    with pytest.raises(CapExceededError, match="17 variables exceeds the play bound 16"):
+        check_admissible(*identity(17))
+    assert check_admissible(*identity(16)).ok
 
 
 def test_condition_one_matches_a_brute_force_bijection_test():
