@@ -50,7 +50,7 @@ import random
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, groupby, permutations, product
+from itertools import accumulate, chain, groupby, permutations, product, repeat
 from math import factorial, prod
 
 from .errors import CapExceededError, ValidationError
@@ -117,9 +117,7 @@ def build_symmetry_graph(instance: QbfInstance) -> ColoredGraph:
         for lv in row:
             adjacency[lv].append(cv)
 
-    return ColoredGraph(
-        len(colors), tuple(tuple(row) for row in adjacency), tuple(colors)
-    )
+    return ColoredGraph(len(colors), tuple(map(tuple, adjacency)), tuple(colors))
 
 
 def refine_colors(
@@ -195,23 +193,22 @@ def _asymmetric(graph: ColoredGraph) -> bool:
     """True when the asymmetry test of the module docstring separates
     every vertex, which proves the canonical root discrete.  A vertex's
     key is one int, twice its own id's weight plus its neighbors' id
-    weights, and its new id is the first vertex with its key.  A collision
-    may merge cells, so False comes from the first round that ends with
-    no more cells than it started with."""
+    weights, and its new id is the first vertex with its key, read as that
+    vertex's weight: a key's dict holds the weight of the first vertex
+    that stored it.  A collision may merge cells, so False comes from the
+    first round that ends with no more cells than it started with."""
     n, adj = graph.n_vertices, graph.adjacency
     if len(graph.colors) != n:
         return False  # _refined rejects the coloring
     weights = _weights(n)
     key: dict = {}
-    ids = list(map(key.setdefault, graph.colors, range(n)))
+    wid = list(map(key.setdefault, graph.colors, weights))
     cells = len(key)
     while cells < n:
-        wid = list(map(weights.__getitem__, ids))
-        ids = None  # the last round's ids and keys go before the next are built
-        key = {}
+        key = {}  # the last round's keys go before the next are built
         get = wid.__getitem__
         sums = (sum(map(get, row), 2 * w) for row, w in zip(adj, wid))
-        ids = list(map(key.setdefault, sums, range(n)))
+        wid = list(map(key.setdefault, sums, weights))
         if len(key) <= cells:
             return False
         cells = len(key)
@@ -220,8 +217,7 @@ def _asymmetric(graph: ColoredGraph) -> bool:
 
 def _weights(n: int) -> list[int]:
     """``n`` pseudo-random 61-bit weights, the same on every call."""
-    draw = random.Random(0x5EED).getrandbits
-    return [draw(61) for _ in range(n)]
+    return list(map(random.Random(0x5EED).getrandbits, repeat(61, n)))
 
 
 def _individualize(adj, node, v: int, top: int) -> tuple[list[int], dict[int, list[int]]]:
@@ -308,12 +304,14 @@ def find_automorphisms(
         return list(chain.from_iterable(map(cells.__getitem__, sorted(cells))))
 
     def is_automorphism(moved: dict[int, int]) -> bool:
-        # a fixed vertex whose neighbors are fixed keeps its row
+        # a candidate is a bijection, so it keeps every edge when each moved
+        # vertex's row maps onto its image's row: an edge with a moved end
+        # is checked in that end's row, and an edge between two fixed
+        # vertices is its own image
         image = moved.get
         return all(
-            colors0[image(v, v)] == colors0[v]
-            and tuple(sorted(image(u, u) for u in adj[v])) == adj[image(v, v)]
-            for v in set(moved).union(*map(adj.__getitem__, moved))
+            colors0[x] == colors0[v] and tuple(sorted(image(u, u) for u in adj[v])) == adj[x]
+            for v, x in moved.items()
         )
 
     # first path nodes, as labels and vertices by color; automorphic images

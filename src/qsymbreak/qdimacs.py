@@ -139,7 +139,8 @@ class QbfInstance:
 
     def __post_init__(self):
         quantified = set(self.prefix.variables)
-        if not quantified.issuperset(map(abs, chain.from_iterable(self.clauses))):
+        # each distinct literal once, however many clauses hold it
+        if not quantified.issuperset(map(abs, set(chain.from_iterable(self.clauses)))):
             free = next(abs(l) for c in self.clauses for l in c if abs(l) not in quantified)
             raise ValidationError(
                 f"matrix variable {free} is not quantified (instance must be closed)"
@@ -200,7 +201,7 @@ def _read(source: str | bytes | IO, kind: str):
     pairs: list[tuple[str, list[int]]] = []
     terms: list[tuple[int, ...]] = []
     declared: tuple[int, int] | None = None
-    quantified: set[int] = set()
+    bound: set[int] = set()  # v and -v for every quantified variable v
     unquantified: dict[int, int] = {}  # variable -> line of first appearance
     pending: dict[int, int] = {}  # the same, within the open term
     current: list[int] = []
@@ -215,9 +216,10 @@ def _read(source: str | bytes | IO, kind: str):
             dropped += 1
         else:
             terms.append(term)
-            for l in term:
-                if abs(l) in pending:
-                    unquantified.setdefault(abs(l), pending[abs(l)])
+            if pending:
+                for l in term:
+                    if abs(l) in pending:
+                        unquantified.setdefault(abs(l), pending[abs(l)])
         current.clear()
         pending.clear()
 
@@ -225,10 +227,11 @@ def _read(source: str | bytes | IO, kind: str):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("c"):
+        first = line[0]
+        if first == "c":
             comments.append(line[1:].lstrip())
             continue
-        if line.startswith("p"):
+        if first == "p":
             fields = line.split()
             if declared is not None:
                 raise QdimacsParseError("duplicate problem line", lineno)
@@ -241,7 +244,7 @@ def _read(source: str | bytes | IO, kind: str):
             if declared[0] < 0 or declared[1] < 0:
                 raise QdimacsParseError("problem line counts must be nonnegative", lineno)
             continue
-        if line[0] in (EXISTS, FORALL):
+        if first == EXISTS or first == FORALL:
             # quantifier line: 'a' or 'e' followed by variable ids and 0
             if declared is None:
                 raise QdimacsParseError("quantifier line before problem line", lineno)
@@ -262,10 +265,11 @@ def _read(source: str | bytes | IO, kind: str):
             if not ids:
                 raise QdimacsParseError("empty quantifier block", lineno)
             for v in ids:
-                if v in quantified:
+                if v in bound:
                     raise QdimacsParseError(f"variable {v} quantified twice", lineno)
-                quantified.add(v)
-            pairs.append((line[0], ids))
+                bound.add(v)
+                bound.add(-v)
+            pairs.append((first, ids))
             continue
         # clause/cube tokens, possibly spanning lines
         if declared is None:
@@ -282,7 +286,7 @@ def _read(source: str | bytes | IO, kind: str):
             if lit:
                 if not current:
                     current_line = lineno
-                if abs(lit) not in quantified:
+                if lit not in bound:
                     pending.setdefault(abs(lit), lineno)
                 current.append(lit)
             elif tok != "0":
@@ -307,7 +311,7 @@ def _read(source: str | bytes | IO, kind: str):
         pairs.insert(0, (EXISTS, free))
         warnings.warn(QdimacsWarning(f"free variables bound existentially: {free}"))
     declared_vars, declared_terms = declared
-    max_var = max((*quantified, *free), default=0)
+    max_var = max((*bound, *free), default=0)
     if kind == "cnf" and declared_vars < max_var:
         warnings.warn(
             QdimacsWarning(f"header declares {declared_vars} variables but {max_var} appear")
@@ -329,8 +333,7 @@ def _write(kind: str, prefix: Prefix, terms, comments: Iterable[str] = ()) -> st
     out.write(f"p {kind} {max(prefix.variables, default=0)} {len(terms)}\n")
     for block in prefix.blocks:
         out.write(f"{block.quantifier} {' '.join(map(str, block.variables))} 0\n")
-    for term in terms:
-        out.write(" ".join(map(str, term + (0,))) + "\n")
+    out.write("".join([" ".join(map(str, term)) + " 0\n" if term else "0\n" for term in terms]))
     return out.getvalue()
 
 

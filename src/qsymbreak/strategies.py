@@ -485,8 +485,14 @@ def orbit_classes(
     them: a play is one strategy of the class {its orbit}; at the player's
     own variable a strategy follows one child, so families unite and counts
     add; at the opponent's it answers both, so families join and counts
-    multiply. ``verify_breaker`` caps the strategy count and the plays. A
-    generator that is not admissible raises, as in ``semantic_orbits``.
+    multiply. The pass starts one block early, at the runs of plays that
+    share everything above the innermost block, each read off its orbits in
+    one step: under the player's own block a strategy picks one play of the
+    run, so the family is the run's orbits as singletons; under the
+    opponent's it takes every play, so the family is the one set of them,
+    kept only when every play is. ``verify_breaker`` caps the strategy count
+    and the plays. A generator that is not admissible raises, as in
+    ``semantic_orbits``.
     """
     order = prefix.variables
     n = len(order)
@@ -494,19 +500,46 @@ def orbit_classes(
     ordinal, leasts = _play_orbits(prefix, admissible_generators(prefix, generators))
     accepts = f"{kept:0{2**n}b}"[::-1]  # character p is bit p
     zdd = Zdd()
-    leaves = [zdd.node(o, 0, 1) for o in range(len(leasts))]
-    # plays in increasing order; a stack entry is a finished subtree and
-    # its depth, and two siblings on top combine into their parent
+
+    def singletons(orbits) -> int:
+        family = 0
+        for o in sorted(set(orbits), reverse=True):  # children before parents
+            family = zdd.node(o, family, 1)
+        return family
+
+    def one_set(orbits) -> int:
+        family = 1
+        for o in sorted(set(orbits), reverse=True):
+            family = zdd.node(o, 0, family)
+        return family
+
+    # the innermost block's variables are the low bits of a play; without
+    # a block there is one play, its own class either way
+    inner = prefix.blocks[-1] if prefix.blocks else None
+    top = n - len(inner.variables) if inner else 0
+    inner_own = inner is None or inner.quantifier == role
+    run = 2 ** (n - top)
+    # runs in increasing order; a stack entry is a finished subtree and its
+    # depth, and two siblings on top combine into their parent
     stack: list[tuple[int, tuple[int, int, int]]] = []
-    for p, o in enumerate(ordinal):
-        leaf = leaves[o]
-        depth, node = n, (leaf, leaf, 1) if accepts[p] == "1" else (leaf, 0, 0)
+    for start in range(0, len(ordinal), run):
+        orbits, marks = ordinal[start : start + run], accepts[start : start + run]
+        if inner_own:
+            kept_orbits = (o for o, mark in zip(orbits, marks) if mark == "1")
+            node = singletons(orbits), singletons(kept_orbits), marks.count("1")
+        else:
+            family = one_set(orbits)
+            node = (family, 0, 0) if "0" in marks else (family, family, 1)
+        depth = top
         while stack and stack[-1][0] == depth:
             depth -= 1
             (f0, k0, c0), (f1, k1, c1) = stack.pop()[1], node
+            every = k0 == f0 and k1 == f1  # then the kept family is the family
             if own[depth]:
-                node = zdd.union(f0, f1), zdd.union(k0, k1), c0 + c1
+                f = zdd.union(f0, f1)
+                node = f, f if every else zdd.union(k0, k1), c0 + c1
             else:
-                node = zdd.join(f0, f1), zdd.join(k0, k1), c0 * c1
+                f = zdd.join(f0, f1)
+                node = f, f if every else zdd.join(k0, k1), c0 * c1
         stack.append((depth, node))
     return (zdd, *stack[0][1], leasts)

@@ -856,12 +856,12 @@ def test_verify_breaker_bounds_the_plays():
         pytest.raises(CapExceededError, match="play bound"),
     ):
         verify_breaker(universals(20), [swap], TRUE, cap=2**200)
-    # at the bound it goes on to psi's table (the whole check takes 1-2 s)
-    with (
-        mock.patch.object(breakers, "prefix_table", side_effect=LookupError("table")),
-        pytest.raises(LookupError, match="table"),
-    ):
-        verify_breaker(universals(16), [], TRUE, cap=1)
+    # at the bound it runs: the 2**16 plays are one run under the innermost
+    # block, so one strategy, one class, kept
+    report = verify_breaker(universals(16), [], TRUE, cap=1)
+    assert (report.ok, report.orbit_count, report.covered, report.kept, report.uncovered) == (
+        True, 1, 1, 1, ()
+    )
     # the strategy cap no longer bounds the plays: one strategy, 2**8 plays
     assert verify_breaker(universals(8), [], TRUE, cap=1).ok
     swap = SignedPermutation.from_dict({v: v for v in range(3, 15)} | {1: 2, 2: 1})

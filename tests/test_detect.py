@@ -320,20 +320,21 @@ def _discrete(graph) -> bool:
 
 
 class _CollidingWeights(list):
-    """Weights ``v % 3``, which collide all the time.  Each round that the
-    test goes on after adds a cell, so it looks up fewer than ``n * n``
-    weights; the table raises past that, where a test that went on after a
-    round that merged cells could cycle for ever."""
+    """Weights ``v % 3``, which collide all the time.  The test reads them
+    once per round, by iteration, and each round after the first adds a
+    cell, so it iterates them at most ``n`` times; the table raises past
+    that, where a test that went on after a round that merged cells could
+    cycle for ever."""
 
     def __init__(self, n: int):
         super().__init__(v % 3 for v in range(n))
-        self.lookups = n * n
+        self.rounds = n
 
-    def __getitem__(self, i):
-        self.lookups -= 1
-        if self.lookups < 0:
+    def __iter__(self):
+        self.rounds -= 1
+        if self.rounds < 0:
             raise AssertionError("the asymmetry test ran more than n rounds")
-        return super().__getitem__(i)
+        return super().__iter__()
 
 
 def test_asymmetry_test_separates_only_what_refinement_separates(monkeypatch):
