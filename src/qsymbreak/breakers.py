@@ -10,6 +10,7 @@ the variables ``x_0..x_{m-1}`` that ``g`` moves, in prefix order.  Once
 the rest of a signed cycle ties, its last member always ties if the
 cycle's sign product is +1, so it is no position, and never ties if it is
 -1, so the chain ends there (a flip ``g(x) = ~x`` is the smallest case).
+The cycles and their sign products are read off ``g.cycles``.
 The chain variable ``y_j`` means "the play agrees with its image on
 x_0..x_{j-1}"; ``y_0`` always holds and is left out.  Implication clauses
 ``(~y_j | ~x_j | g(x_j))`` enforce the breaker at existential positions,
@@ -144,21 +145,6 @@ def _ties(v: int, w: int, exists: bool) -> tuple[tuple[int, ...], tuple[int, ...
     return ((-v,), (w,)) if exists else (normalize_clause((-v, -w)), normalize_clause((v, w)))
 
 
-def _closing_signs(g: SignedPermutation, position) -> dict[int, int]:
-    """The last member of each signed cycle of ``g`` in prefix order, with
-    the cycle's sign product."""
-    images, closing = dict(g.moved), {}
-    while images:
-        v, w = images.popitem()
-        members, negated = [v], w < 0
-        while abs(w) != v:
-            members.append(abs(w))
-            w = images.pop(abs(w))
-            negated ^= w < 0
-        closing[max(members, key=position)] = -1 if negated else 1
-    return closing
-
-
 def _chain_for_generator(
     prefix: Prefix, g: SignedPermutation, next_aux: int
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
@@ -170,7 +156,7 @@ def _chain_for_generator(
     a tautology.
     """
     quantifier, position = prefix.quantifier_of, prefix._position.__getitem__
-    closing = _closing_signs(g, position)
+    closing = {max(map(abs, c), key=position): sign for c, sign in g.cycles}
     moved = []
     for v, w in sorted(g.moved, key=lambda pair: position(pair[0])):
         sign = closing.get(v)

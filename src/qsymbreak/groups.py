@@ -8,6 +8,8 @@ DAC 2004), and everything here, the symmetry check included, works from
 them. AdmissibleMap maps variables to formulas, such as y -> x xor y,
 admissible but not literal-shaped. Both compile their action on the plays
 into a ``play_table``, read by the admissibility check and ``strategies``.
+A signed permutation's ``cycles`` walks its signed cycles once, for cycle
+notation and the lex-leader chains.
 
 Admissibility means two things: the map commutes with evaluation (checked
 for general maps by testing that the play table reaches every play), and
@@ -86,6 +88,23 @@ class SignedPermutation:
         """Every variable of the domain with its image, in variable order."""
         domain = self.domain
         return tuple(zip(domain, map(self._images.get, domain, domain)))
+
+    @property
+    def cycles(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each variable cycle of the support, in order of its least
+        variable v: the literals met from v until the walk returns to v,
+        with sign product +1, or reaches -v, with -1.  The one cycle walk,
+        read by cycle notation and the lex-leader chains; it is not stored,
+        so a generator costs only what it moves."""
+        images, cycles = dict(self.moved), []
+        for v, w in self.moved:
+            if images.pop(v, 0):  # else met on the walk from a smaller variable
+                lits = [v]
+                while abs(w) != v:
+                    lits.append(w)
+                    w = images.pop(w) if w > 0 else -images.pop(-w)
+                cycles.append((tuple(lits), 1 if w == v else -1))
+        return tuple(cycles)
 
     @property
     def is_identity(self) -> bool:
@@ -270,9 +289,7 @@ def is_syntactic_symmetry(g: SignedPermutation, instance: QbfInstance) -> bool:
     """
     if not isinstance(g, SignedPermutation):
         raise ValidationError("the syntactic symmetry check needs a signed permutation")
-    report = check_admissible(g, instance.prefix)
-    if not report.ok:
-        raise ValidationError(f"generator is not admissible: {report.violations}")
+    admissible_generators(instance.prefix, (g,))
     image = g._images.get
     compared = [c for c in instance._literal_sets if not g._images.keys().isdisjoint(c)]
     return sorted(tuple(sorted(map(image, c, c))) for c in compared) == compared
@@ -340,40 +357,20 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
 def format_generator(g: SignedPermutation) -> str:
-    """Cycle notation over literals.
+    """Cycle notation over literals, one cycle per entry of ``g.cycles``.
 
     Swaps look like "(1 2)", a sign flip of variable 5 is "(-5)", and longer
     or sign-mixing cycles list literals in order, e.g. "(1 2 -1 -2)" for the
     order-4 map 1 -> 2 -> -1. The identity formats as "()".
     """
-    visited: set[int] = set()
-    cycles: list[str] = []
-    for v, _ in g.moved:
-        for start in (v, -v):
-            if start in visited:
-                continue
-            visited.add(start)
-            img = g.image_of_literal(start)
-            if img == start:
-                continue
-            if img == -start:
-                visited.add(-start)
-                if start > 0:
-                    cycles.append(f"(-{start})")
-                continue
-            cycle = [start]
-            cur = img
-            while cur != start:
-                visited.add(cur)
-                cycle.append(cur)
-                cur = g.image_of_literal(cur)
-            # the complementary cycle is fully determined by this one; mark it
-            # visited so it is not emitted a second time
-            if -start not in cycle:
-                for lit in cycle:
-                    visited.add(-lit)
-            cycles.append("(" + " ".join(map(str, cycle)) + ")")
-    return "".join(cycles) if cycles else "()"
+    text = []
+    for lits, sign in g.cycles:
+        if sign < 0:
+            # the walk reached -lits[0]; the literal cycle goes on through
+            # the negations, and a flip is written by its image alone
+            lits = (-lits[0],) if len(lits) == 1 else (*lits, *(-l for l in lits))
+        text.append("(" + " ".join(map(str, lits)) + ")")
+    return "".join(text) or "()"
 
 
 def parse_generator(text: str, domain: Iterable[int]) -> SignedPermutation:
@@ -428,12 +425,14 @@ def format_generators(gens: Iterable[SignedPermutation]) -> str:
 
 
 def parse_generators(text: str, domain: Iterable[int]) -> list[SignedPermutation]:
-    """One generator per line; blank lines and 'c'/'#' comment lines skipped."""
+    """One generator per line; blank lines and comment lines skipped: a
+    generator starts with "(", so any line starting with "c" or "#" is a
+    comment, as every "c" line is in QDIMACS."""
     domain = tuple(sorted(set(domain)))
     out = []
     for line in text.splitlines():
         stripped = line.strip()
-        if not stripped or stripped.startswith(("#", "c ")) or stripped == "c":
+        if not stripped or stripped[0] in "c#":
             continue
         out.append(_parse_generator(stripped, domain))
     return out

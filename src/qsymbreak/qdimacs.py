@@ -130,6 +130,16 @@ class Prefix:
         )
 
 
+def _check_closed(prefix: Prefix, terms, message: str) -> None:
+    """Raise ``message`` with the first variable of ``terms``, in term
+    order, that ``prefix`` does not quantify."""
+    quantified = set(prefix.variables)
+    # each distinct literal once, however many terms hold it
+    if not quantified.issuperset(map(abs, set(chain.from_iterable(terms)))):
+        free = next(abs(l) for t in terms for l in t if abs(l) not in quantified)
+        raise ValidationError(message.format(free))
+
+
 @dataclass(frozen=True)
 class QbfInstance:
     prefix: Prefix
@@ -138,13 +148,8 @@ class QbfInstance:
     free_vars: tuple[int, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        quantified = set(self.prefix.variables)
-        # each distinct literal once, however many clauses hold it
-        if not quantified.issuperset(map(abs, set(chain.from_iterable(self.clauses)))):
-            free = next(abs(l) for c in self.clauses for l in c if abs(l) not in quantified)
-            raise ValidationError(
-                f"matrix variable {free} is not quantified (instance must be closed)"
-            )
+        message = "matrix variable {} is not quantified (instance must be closed)"
+        _check_closed(self.prefix, self.clauses, message)
 
     @property
     def n_vars(self) -> int:
@@ -355,11 +360,7 @@ def serialize_qdimacs(instance: QbfInstance) -> str:
 def serialize_dnf(prefix: Prefix, cubes: Iterable[tuple[int, ...]]) -> str:
     """DNF sidecar text: cube disjunction under the given prefix."""
     cubes = tuple(cubes)
-    quantified = set(prefix.variables)
-    for cube in cubes:
-        for l in cube:
-            if abs(l) not in quantified:
-                raise ValidationError(f"cube variable {abs(l)} is not quantified")
+    _check_closed(prefix, cubes, "cube variable {} is not quantified")
     return _write("dnf", prefix, cubes)
 
 

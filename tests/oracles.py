@@ -189,6 +189,34 @@ def closing_sign(prefix: Prefix, g, v: int) -> int | None:
     return None
 
 
+def literal_cycles(g) -> list[list[int]]:
+    """The literal cycles of g walked by hand, one per variable cycle: from
+    each moved variable v not met before, least first, the literals that
+    ``image_of_literal`` gives until it gives v back.  The cycle holds -v
+    when the variable cycle's sign product is -1, and then its second half
+    negates its first."""
+    cycles, met = [], set()
+    for v in g.domain:
+        if v not in met and g.image(v) != v:
+            cycle, lit = [v], g.image(v)
+            while lit != v:
+                cycle.append(lit)
+                lit = g.image_of_literal(lit)
+            met.update(abs(l) for l in cycle)
+            cycles.append(cycle)
+    return cycles
+
+
+def cycle_notation(g) -> str:
+    """Cycle notation written from ``literal_cycles``: a flip [v, -v] as
+    "(-v)", every other cycle as its literals, and the identity as "()"."""
+    texts = [
+        f"({-c[0]})" if c == [c[0], -c[0]] else "(" + " ".join(map(str, c)) + ")"
+        for c in literal_cycles(g)
+    ]
+    return "".join(texts) or "()"
+
+
 def random_xor_map(rng: random.Random, prefix: Prefix):
     """Random block-respecting map of every variable to a formula such as
     z -> y xor z, bijective by construction. Within a block, in a random
@@ -273,16 +301,27 @@ def truth_table(formula: Formula, var_ids: list[int]) -> tuple[bool, ...]:
     return tuple(rows)
 
 
+def satisfies(sigma: dict[int, bool], term: tuple[int, ...]) -> bool:
+    """Does the total assignment sigma make some literal of term true?"""
+    return any((l > 0) == sigma[abs(l)] for l in term)
+
+
 def brute_qbf_truth(instance: QbfInstance) -> bool:
     """Independent recursive QBF evaluation without any pruning tricks."""
-    order = list(instance.prefix.variables)
-    quant = {v: instance.prefix.quantifier_of(v) for v in order}
+    return brute_truth(
+        instance.prefix, lambda sigma: all(satisfies(sigma, c) for c in instance.clauses)
+    )
+
+
+def brute_truth(prefix: Prefix, holds) -> bool:
+    """QBF truth of ``prefix`` over the matrix ``holds``, a predicate on
+    total assignments, by recursion over every play."""
+    order = list(prefix.variables)
+    quant = {v: prefix.quantifier_of(v) for v in order}
 
     def rec(idx: int, sigma: dict[int, bool]) -> bool:
         if idx == len(order):
-            return all(
-                any((l > 0) == sigma[abs(l)] for l in clause) for clause in instance.clauses
-            )
+            return holds(sigma)
         v = order[idx]
         results = (rec(idx + 1, {**sigma, v: False}), rec(idx + 1, {**sigma, v: True}))
         return all(results) if quant[v] == FORALL else any(results)

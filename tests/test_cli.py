@@ -5,13 +5,16 @@ error, 3 cap exceeded, 10 verification failure.  Pipeline agreement
 (break then solve versus plain solve) uses the brute-force oracle.
 """
 
+import collections
 import contextlib
+import functools
 import hashlib
 import io
 import itertools
 import json
 import math
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -27,8 +30,10 @@ from qsymbreak.cli import main
 from qsymbreak.detect import DetectionResult
 from qsymbreak.formulas import And, Or, clauses_to_formula, cubes_to_formula
 from qsymbreak.groups import CLOSURE_CAP, is_syntactic_symmetry, parse_generators
-from qsymbreak.qdimacs import parse_dnf, parse_qdimacs
+from qsymbreak.qdimacs import parse_dnf, parse_qdimacs, serialize_qdimacs
 from qsymbreak.strategies import qbf_truth
+
+import oracles
 
 IFF_AE = "p cnf 2 2\na 1 0\ne 2 0\n-1 2 0\n1 -2 0\n"
 UNIT = "p cnf 1 1\ne 1 0\n1 0\n"
@@ -693,3 +698,93 @@ def test_exit_codes_stay_in_the_contract(tmp_path_factory, data):
             warnings.simplefilter("ignore")
             code = main([*command, "-"])
         assert code in {0, 1, 2, 3, 10}, (command, data)
+
+
+# every route the fuzz test takes, with the output files it may write
+FUZZ_ROUTES = {
+    "parse": ["parse", "{in}", "-o", "{cnf}"],
+    "detect": ["detect", "{in}"],
+    "exists": ["break", "--exists", "{in}", "-o", "{cnf}"],
+    "forall": ["break", "--forall", "{in}", "-o", "{cnf}", "--dnf-out", "{dnf}"],
+    "both": ["break", "--both", "{in}", "-o", "{cnf}", "--dnf-out", "{dnf}"],
+    "verify": ["verify", "--json", "{in}"],
+    "solve": ["solve", "{in}"],
+}
+
+
+def _fuzz_text(rng):
+    """A random or planted-symmetric QDIMACS text of at most 6 variables,
+    in half the cases edited by one to three ``MUTATION_TOKENS``."""
+    n = rng.randint(1, 6)
+    if rng.random() < 0.5:
+        instance, _ = oracles.planted_instance(rng, n, rng.randint(0, 4))
+    else:
+        instance = oracles.random_instance(rng, n, rng.randint(0, 6))
+    tokens = re.split(rb"( |\n)", serialize_qdimacs(instance).encode())
+    for _ in range(rng.choice((0, 0, 0, 1, 2, 3))):
+        k, token = rng.randrange(len(tokens) + 1), rng.choice(MUTATION_TOKENS)
+        op = rng.choice("rid") if tokens else "i"
+        if op == "i":
+            tokens.insert(k, token)
+        elif op == "r":
+            tokens[min(k, len(tokens) - 1)] = token
+        else:
+            del tokens[min(k, len(tokens) - 1)]
+    return b"".join(tokens)
+
+
+def _fuzz_run(tmp_path, route):
+    """Run one route; its exit code, stdout, stderr and output files."""
+    paths = {"{in}": tmp_path / "in.qdimacs", "{cnf}": tmp_path / "out.cnf",
+             "{dnf}": tmp_path / "out.dnf"}
+    for key in ("{cnf}", "{dnf}"):
+        paths[key].unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(paths.get(arg, arg)) for arg in FUZZ_ROUTES[route]])
+    files = [p.read_text() if p.exists() else None for p in (paths["{cnf}"], paths["{dnf}"])]
+    return code, out.getvalue(), err.getvalue(), *files
+
+
+def _augmented_truth(cnf, dnf):
+    """Brute-force truth of break's outputs: the CNF, with the cube sidecar,
+    if any, disjoined to the matrix clauses that the CNF records."""
+    augmented = parse_qdimacs(cnf)
+    if augmented.prefix.n > 12:
+        return None  # past what the brute-force oracle decides quickly
+    cubes = () if dnf is None else parse_dnf(dnf)[1]
+    marker = [c for c in augmented.comments if c.startswith("matrix clauses: ")]
+    n_matrix = int(marker[0].split(": ")[1]) if marker else len(augmented.clauses)
+    matrix, breaker = augmented.clauses[:n_matrix], augmented.clauses[n_matrix:]
+
+    def holds(sigma):
+        true = functools.partial(oracles.satisfies, sigma)
+        cube_true = any(all((l > 0) == sigma[abs(l)] for l in cube) for cube in cubes)
+        return (all(map(true, matrix)) or cube_true) and all(map(true, breaker))
+
+    return oracles.brute_truth(augmented.prefix, holds)
+
+
+def test_seeded_cli_fuzz_is_deterministic_and_keeps_truth(tmp_path):
+    rng = random.Random(2024)
+    codes, truth_checks = collections.Counter(), 0
+    for _ in range(100):
+        data = _fuzz_text(rng)
+        (tmp_path / "in.qdimacs").write_bytes(data)
+        results = {route: _fuzz_run(tmp_path, route) for route in FUZZ_ROUTES}
+        for route, result in results.items():
+            assert result[0] in {0, 1, 2, 3, 10}, (route, data)
+            assert _fuzz_run(tmp_path, route) == result, (route, data)
+            codes[result[0]] += 1
+        if results["parse"][0] != 0:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            truth = oracles.brute_qbf_truth(parse_qdimacs(data.decode()))
+        for route in ("exists", "forall", "both"):
+            code, _, _, cnf, sidecar = results[route]
+            if code == 0:
+                kept = _augmented_truth(cnf, sidecar)
+                assert kept in (None, truth), (route, data)
+                truth_checks += kept is not None
+    assert truth_checks > 40 and codes[0] > 100 and codes[2] > 10, (truth_checks, codes)

@@ -395,6 +395,25 @@ def test_format_identity():
     assert format_generator(SignedPermutation.identity([1, 2])) == "()"
 
 
+def test_cycle_notation_matches_a_walk_of_the_literal_images():
+    rng = random.Random(4096)
+    seen = {"longer": 0, "negated": 0, "flip": 0}
+    for _ in range(2500):
+        prefix = oracles.random_prefix(rng, rng.randint(1, 9), max_block=rng.randint(1, 9))
+        g = oracles.random_signed_cycles(rng, prefix, max_len=rng.randint(1, 9))
+        assert format_generator(g) == oracles.cycle_notation(g)
+        expected = [
+            (tuple(c[: len(c) // 2]), -1) if -c[0] in c else (tuple(c), 1)
+            for c in oracles.literal_cycles(g)
+        ]
+        assert g.cycles == tuple(expected)
+        for lits, sign in g.cycles:
+            seen["longer"] += len(lits) > 2
+            seen["negated"] += sign == -1 and len(lits) > 1
+            seen["flip"] += len(lits) == 1
+    assert min(seen.values()) > 500
+
+
 def test_parse_round_trip():
     rng = random.Random(31)
     for _ in range(200):
@@ -420,7 +439,9 @@ def test_generator_file_round_trip():
         SignedPermutation.from_dict({1: 1, 2: -2, 3: -3}),
     ]
     text = format_generators(gens)
-    assert parse_generators("c comment\n" + text + "\n# trailing\n", [1, 2, 3]) == gens
+    # every comment line the QDIMACS reader skips, a tab after the c included
+    commented = "c comment\nc\tdetected by hand\n" + text + "\n# trailing\n"
+    assert parse_generators(commented, [1, 2, 3]) == gens
 
 
 def test_compose_applies_right_then_left():
