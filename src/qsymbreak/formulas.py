@@ -1,4 +1,4 @@
-"""Boolean formula trees: construction, evaluation, substitution, equivalence.
+"""Boolean formula trees: construction, restriction, tabulation, equivalence.
 
 Formulas are immutable dataclass trees over integer variable ids (1-based,
 matching DIMACS numbering), with six node kinds: Const, Var, Not, And, Or
@@ -10,11 +10,13 @@ semantically.
 
 A clause list is one node, ``Cnf``, of signed DIMACS literals; a cube list
 is its negation over the negated literals (a DNF is a negated CNF), so
-term lists have one node kind, restricted and evaluated here alone.
+term lists have one node kind, restricted and tabulated here alone.
 
-``truth_table`` evaluates a formula on every total assignment of a variable
-order at once: the table is one int with a bit per assignment, so each
-connective is one bitwise operation on ints (Knuth, TAOCP 4A, 7.1.3).
+``substitute`` restricts a formula to a partial or total assignment, and
+``evaluate`` is a restriction that must fold to a constant. ``truth_table``
+tabulates it on every total assignment of a variable order at once: the
+table is one int with a bit per assignment, so each connective is one
+bitwise operation on ints (Knuth, TAOCP 4A, 7.1.3).
 """
 
 from __future__ import annotations
@@ -148,29 +150,6 @@ def cubes_to_formula(cubes: Iterable[Iterable[int]]) -> Formula:
     return neg(clauses_to_formula(tuple(-l for l in cube) for cube in cubes))
 
 
-def evaluate(formula: Formula, assignment: Mapping[int, bool]) -> bool:
-    """Truth value of the formula under a total assignment (var id -> bool)."""
-    if isinstance(formula, Const):
-        return formula.value
-    if isinstance(formula, Var):
-        try:
-            return assignment[formula.id]
-        except KeyError:
-            raise MissingAssignmentError(formula.id) from None
-    if isinstance(formula, Not):
-        return not evaluate(formula.child, assignment)
-    if isinstance(formula, And):
-        return all(evaluate(c, assignment) for c in formula.children)
-    if isinstance(formula, Or):
-        return any(evaluate(c, assignment) for c in formula.children)
-    if isinstance(formula, Cnf):
-        try:
-            return all(any((l > 0) == assignment[abs(l)] for l in c) for c in formula.clauses)
-        except KeyError as exc:
-            raise MissingAssignmentError(exc.args[0]) from None
-    raise TypeError(f"not a formula node: {formula!r}")
-
-
 def truth_table(formula: Formula, order: Iterable[int]) -> int:
     """The formula's value on every play of ``order``, as one int.
 
@@ -235,21 +214,13 @@ def substitute(formula: Formula, partial: Mapping[int, bool]) -> Formula:
     """Replace assigned variables by constants and fold.
 
     The result contains no variable of the partial assignment's domain.
+    Shared subtrees are restricted once, by node identity as in
+    ``truth_table``, and stay shared in the result.
     """
-    return map_variables(formula, {v: TRUE if value else FALSE for v, value in partial.items()})
-
-
-def map_variables(formula: Formula, images: Mapping[int, Formula]) -> Formula:
-    """Substitute whole formulas for variables. Unmapped variables stay.
-
-    Shared subtrees are mapped once, by node identity as in ``truth_table``,
-    and stay shared in the result.
-    """
-    # constant images restrict clause by clause: satisfied clauses go,
-    # false literals are stripped, and an empty clause settles the value
-    true_lits = {v if i.value else -v for v, i in images.items() if isinstance(i, Const)}
+    # clauses restrict clause by clause: satisfied clauses go, false
+    # literals are stripped, and an empty clause settles the value
+    true_lits = {v if value else -v for v, value in partial.items()}
     assigned = true_lits | {-l for l in true_lits}
-    constant = len(true_lits) == len(images)
     memo: dict[int, Formula] = {}
 
     def restrict(clauses: tuple[tuple[int, ...], ...]) -> Formula:
@@ -264,10 +235,6 @@ def map_variables(formula: Formula, images: Mapping[int, Formula]) -> Formula:
             out.append(clause)
         return Cnf(tuple(out)) if out else TRUE
 
-    def image_of(lit: int) -> Formula:
-        image = images.get(abs(lit), Var(abs(lit)))
-        return image if lit > 0 else neg(image)
-
     def walk(node: Formula) -> Formula:
         out = memo.get(id(node))
         if out is not None:
@@ -275,22 +242,29 @@ def map_variables(formula: Formula, images: Mapping[int, Formula]) -> Formula:
         if isinstance(node, Const):
             out = node
         elif isinstance(node, Var):
-            out = images.get(node.id, node)
+            out = node if node.id not in partial else TRUE if partial[node.id] else FALSE
         elif isinstance(node, Not):
             out = neg(walk(node.child))
         elif isinstance(node, (And, Or)):
             out = (conj if isinstance(node, And) else disj)(map(walk, node.children))
         elif isinstance(node, Cnf):
-            if constant:
-                out = restrict(node.clauses)
-            else:
-                out = conj(disj(map(image_of, c)) for c in node.clauses)
+            out = restrict(node.clauses)
         else:
             raise TypeError(f"not a formula node: {node!r}")
         memo[id(node)] = out
         return out
 
     return walk(formula)
+
+
+def evaluate(formula: Formula, assignment: Mapping[int, bool]) -> bool:
+    """Truth value under an assignment: the ``substitute`` restriction,
+    which must fold to a constant; the least variable it leaves raises
+    ``MissingAssignmentError``."""
+    out = substitute(formula, assignment)
+    if not isinstance(out, Const):
+        raise MissingAssignmentError(min(variables(out)))
+    return out.value
 
 
 def variables(formula: Formula) -> frozenset[int]:

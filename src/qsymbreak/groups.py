@@ -28,7 +28,7 @@ from operator import lt
 from typing import Iterable, Mapping
 
 from .errors import CapExceededError, ValidationError
-from .formulas import Formula, evaluate, literal, map_variables, truth_table, variables
+from .formulas import Formula, evaluate, truth_table, variables
 from .qdimacs import Prefix, QbfInstance
 
 # a play table covers the 2**n plays of an n-variable prefix; no table is
@@ -132,9 +132,6 @@ class SignedPermutation:
     def apply_to_clauses(self, clauses: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
         return tuple(self.apply_to_clause(c) for c in clauses)
 
-    def apply_to_formula(self, formula: Formula) -> Formula:
-        return map_variables(formula, {v: literal(img) for v, img in self.moved})
-
     def apply_to_assignment(self, sigma: Mapping[int, bool]) -> dict[int, bool]:
         """Pointwise image assignment: result(x) = value of image(x) under sigma."""
         out = {v: sigma[v] for v in self.domain}
@@ -202,9 +199,6 @@ class AdmissibleMap:
             return self._table[var]
         except KeyError:
             raise ValidationError(f"variable {var} outside map domain") from None
-
-    def apply_to_formula(self, formula: Formula) -> Formula:
-        return map_variables(formula, self._table)
 
     def apply_to_assignment(self, sigma: Mapping[int, bool]) -> dict[int, bool]:
         return {v: evaluate(img, sigma) for v, img in self.images}

@@ -227,7 +227,7 @@ def _quantified(table: int, universal: tuple[bool, ...]) -> bool:
     return bool(table & 1)
 
 
-def qbf_truth(target: QbfInstance | tuple[Prefix, Formula], cap: int = TRUTH_VAR_CAP) -> bool:
+def qbf_truth(target: QbfInstance | tuple[Prefix, Formula]) -> bool:
     """Recursive game-semantics truth value with short-circuiting.
 
     A prefix of at most ``TABLE_VARS`` variables is one ``prefix_table``,
@@ -236,8 +236,8 @@ def qbf_truth(target: QbfInstance | tuple[Prefix, Formula], cap: int = TRUTH_VAR
     matrix is then one table.
     """
     prefix, matrix = _split_target(target)
-    if prefix.n > cap:
-        raise CapExceededError(f"{prefix.n} variables exceed truth cap {cap}")
+    if prefix.n > TRUTH_VAR_CAP:
+        raise CapExceededError(f"{prefix.n} variables exceed truth cap {TRUTH_VAR_CAP}")
     order = prefix.variables
     universal = tuple(prefix.quantifier_of(v) == FORALL for v in order)
     split = max(len(order) - TABLE_VARS, 0)

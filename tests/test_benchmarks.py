@@ -74,8 +74,10 @@ def test_kbkf_rejects_zero_levels():
 
 def test_kbkf_is_false():
     # known property of the family, checked here by the game semantics
-    for t in range(1, 5):
+    # t = 6 has TRUTH_VAR_CAP variables: the recursion splits 10 of them
+    for t in range(1, 7):
         assert qbf_truth(gen_kbkf(t)) is False
+    assert gen_kbkf(6).prefix.n == TRUTH_VAR_CAP
 
 
 def test_kbkf_level_symmetry_is_syntactic():

@@ -881,6 +881,12 @@ def test_verify_breaker_reads_psi_as_the_truth_oracle_does():
         qbf_truth((prefix, Var(2)))
     assert verify_breaker(prefix, [], Or((TRUE, Var(9)))).ok
     assert qbf_truth((prefix, Or((TRUE, Var(9))))) is True
+    # the enumerating reference accepts the same psi, whatever its child order
+    prefix = Prefix.from_pairs([(FORALL, [1]), (EXISTS, [2])])
+    psi = Or((Var(9), Var(2), TRUE))
+    report = verify_breaker(prefix, [], psi)
+    assert report.ok and report.kept == 4
+    assert report == enumerated_report(prefix, [], psi, EXISTS)
 
 
 def test_verify_breaker_decides_kbkf_past_the_strategy_counts():

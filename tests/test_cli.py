@@ -574,6 +574,11 @@ def test_solve_cap_exceeded(tmp_path, capsys):
     code, _, err = run(capsys, "solve", path)
     assert code == 3
     assert "cap exceeded" in err
+    # the paper's family one level past the cap
+    kbkf = str(tmp_path / "k7.qdimacs")
+    assert run(capsys, "gen", "kbkf", "7", "-o", kbkf)[0] == 0
+    code, out, err = run(capsys, "solve", kbkf)
+    assert (code, out, err) == (3, "", "cap exceeded: 28 variables exceed truth cap 24\n")
 
 
 def test_gen_random_is_deterministic(tmp_path, capsys):
