@@ -20,6 +20,11 @@ from .strategies import TRUTH_VAR_CAP
 _PATTERN = re.compile(r"([ae])(\d*)")
 
 
+def _kbkf_level(i: int) -> tuple[int, int, int]:
+    """Level i's variables (d_i, e_i, x_i) in gen_kbkf's numbering."""
+    return 3 * i - 2, 3 * i - 1, 3 * i
+
+
 def gen_kbkf(t: int) -> QbfInstance:
     """Build the t-level KBKF instance.
 
@@ -31,36 +36,21 @@ def gen_kbkf(t: int) -> QbfInstance:
     """
     if t < 1:
         raise ValidationError("the family needs at least one level")
-
-    def d(i):
-        return 3 * (i - 1) + 1
-
-    def e(i):
-        return 3 * (i - 1) + 2
-
-    def x(i):
-        return 3 * i
-
-    def f(j):
-        return 3 * t + j
-
+    levels = [_kbkf_level(i) for i in range(1, t + 1)]
+    f = tuple(range(3 * t + 1, 4 * t + 1))
     pairs = []
-    for i in range(1, t + 1):
-        pairs.append((EXISTS, (d(i), e(i))))
-        pairs.append((FORALL, (x(i),)))
-    pairs.append((EXISTS, tuple(f(j) for j in range(1, t + 1))))
+    for d, e, x in levels:
+        pairs += [(EXISTS, (d, e)), (FORALL, (x,))]
+    pairs.append((EXISTS, f))
 
-    clauses: list[tuple[int, ...]] = [(-d(1), -e(1))]
-    for i in range(1, t):
-        clauses.append((d(i), x(i), -d(i + 1), -e(i + 1)))
-        clauses.append((e(i), -x(i), -d(i + 1), -e(i + 1)))
-    tail = tuple(-f(j) for j in range(1, t + 1))
-    clauses.append((d(t), x(t)) + tail)
-    clauses.append((e(t), -x(t)) + tail)
-    for i in range(1, t + 1):
-        clauses.append((x(i), f(i)))
-        clauses.append((-x(i), f(i)))
-
+    # level i's two clauses end in the negated existentials of level i + 1,
+    # the last level's in every negated f_j
+    negated = [(-d, -e) for d, e, _ in levels] + [tuple(-fj for fj in f)]
+    clauses = [negated[0]]
+    for (d, e, x), after in zip(levels, negated[1:]):
+        clauses += [(d, x, *after), (e, -x, *after)]
+    for (_, _, x), fj in zip(levels, f):
+        clauses += [(x, fj), (-x, fj)]
     return QbfInstance(prefix=Prefix.from_pairs(pairs), clauses=tuple(clauses))
 
 
@@ -69,7 +59,7 @@ def kbkf_level_symmetry(t: int, level: int) -> SignedPermutation:
     flipping that level's universal variable."""
     if not 1 <= level <= t:
         raise ValidationError(f"level {level} outside 1..{t}")
-    d, e, x = 3 * (level - 1) + 1, 3 * (level - 1) + 2, 3 * level
+    d, e, x = _kbkf_level(level)
     mapping = {v: v for v in range(1, 4 * t + 1)}
     mapping[d], mapping[e], mapping[x] = e, d, -x
     return SignedPermutation.from_dict(mapping)

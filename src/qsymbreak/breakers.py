@@ -58,7 +58,6 @@ _MODE_ENCODINGS = {
     "attach-dnf": ((FORALL,), "a universal encoding"),
     "combined": ((EXISTS, FORALL), "a pair of encodings (existential, universal)"),
 }
-AUGMENT_MODES = tuple(_MODE_ENCODINGS)
 
 
 def _checked_generators(prefix: Prefix, generators) -> tuple[SignedPermutation, ...]:
@@ -117,8 +116,7 @@ class EncodedBreaker:
     @cached_property
     def prefix(self) -> Prefix:
         """The original prefix with the chain variables inserted."""
-        slot_items = ((a, s, self.polarity) for a, s in self.aux_slots)
-        return _extended_prefix(self.original_prefix, slot_items)
+        return _merged_prefix(self.original_prefix, self)
 
     @property
     def aux_vars(self) -> tuple[int, ...]:
@@ -188,15 +186,26 @@ def _chain_for_generator(
     return clauses, [(y, prefix.block_index_of(v)) for y, (v, _, _) in zip(aux, moved)]
 
 
-def _extended_prefix(prefix: Prefix, slot_items) -> Prefix:
-    """Insert aux variables after their slots.
-    ``slot_items`` is an iterable of (aux, slot, quantifier)."""
-    per_slot: dict[int, list[tuple[str, tuple[int]]]] = defaultdict(list)
-    for aux, slot, q in sorted(slot_items):
-        per_slot[slot].append((q, (aux,)))
+def _merged_prefix(prefix: Prefix, *encodings: EncodedBreaker) -> Prefix:
+    """``prefix`` with the chain variables of every encoding inserted, each
+    quantified by its encoding's polarity right after the block its slot
+    names, in increasing order after one block; for a single encoding this
+    is its own ``prefix``."""
+    per_slot: dict[int, list[tuple[int, str]]] = defaultdict(list)
+    taken: set[int] = set()
+    for encoded in encodings:
+        if encoded.original_prefix != prefix:
+            raise ValidationError("encoding was built for a different prefix")
+        overlap = taken.intersection(encoded.aux_vars)
+        if overlap:
+            raise ValidationError(f"encodings share chain variables {sorted(overlap)}")
+        taken.update(encoded.aux_vars)
+        for aux, slot in encoded.aux_slots:
+            per_slot[slot].append((aux, encoded.polarity))
     pairs = []
     for bi, block in enumerate(prefix.blocks):
-        pairs += [(block.quantifier, block.variables), *per_slot[bi]]
+        chain = ((q, (a,)) for a, q in sorted(per_slot[bi]))
+        pairs += [(block.quantifier, block.variables), *chain]
     return Prefix.from_pairs(pairs)
 
 
@@ -254,8 +263,7 @@ def encode_both(prefix: Prefix, generators) -> tuple[EncodedBreaker, EncodedBrea
     put them on one prefix."""
     gens = _checked_generators(prefix, generators)
     enc_e = _encode(prefix, gens, None, EXISTS)
-    top = max((*prefix.variables, *enc_e.aux_vars), default=0)
-    return enc_e, _encode(prefix, gens, top + 1, FORALL)
+    return enc_e, _encode(prefix, gens, _fresh_start(enc_e.prefix, None), FORALL)
 
 
 @dataclass(frozen=True)
@@ -339,23 +347,6 @@ def universal_lex_leader_formula(prefix: Prefix, generators) -> BreakerFormula:
     return breaker_formula(encode_universal_dnf(prefix, generators))
 
 
-def _merged_prefix(instance: QbfInstance, *encodings: EncodedBreaker) -> Prefix:
-    """The instance prefix with the chain variables of every encoding
-    inserted, each quantified by its encoding's polarity; for a single
-    encoding this is its own ``prefix``."""
-    slot_items: list[tuple[int, int, str]] = []
-    taken: set[int] = set()
-    for encoded in encodings:
-        if encoded.original_prefix != instance.prefix:
-            raise ValidationError("encoding was built for a different prefix")
-        overlap = taken.intersection(encoded.aux_vars)
-        if overlap:
-            raise ValidationError(f"encodings share chain variables {sorted(overlap)}")
-        taken.update(encoded.aux_vars)
-        slot_items += [(a, s, encoded.polarity) for a, s in encoded.aux_slots]
-    return _extended_prefix(instance.prefix, slot_items)
-
-
 def augment_instance(
     instance: QbfInstance, encoded, mode: str = "conjoin-cnf"
 ) -> tuple[QbfInstance, tuple[Prefix, tuple[tuple[int, ...], ...]] | None]:
@@ -369,15 +360,16 @@ def augment_instance(
     disjoint chain variables; the returned instance and sidecar share
     one merged prefix.
     """
-    if mode not in AUGMENT_MODES:
-        raise ValidationError(f"unknown augment mode {mode!r}; pick one of {AUGMENT_MODES}")
+    if mode not in _MODE_ENCODINGS:
+        modes = tuple(_MODE_ENCODINGS)
+        raise ValidationError(f"unknown augment mode {mode!r}; pick one of {modes}")
     polarities, needs = _MODE_ENCODINGS[mode]
     paired = len(polarities) > 1 and isinstance(encoded, (tuple, list))
     encodings = tuple(encoded) if paired else (encoded,)
     given = sorted(e.polarity if isinstance(e, EncodedBreaker) else "" for e in encodings)
     if given != sorted(polarities):
         raise ValidationError(f"{mode} needs {needs}")
-    merged = _merged_prefix(instance, *encodings)
+    merged = _merged_prefix(instance.prefix, *encodings)
     terms = {e.polarity: e.terms for e in encodings}
     out = QbfInstance(merged, instance.clauses + terms.get(EXISTS, ()), instance.comments)
     return out, ((merged, terms[FORALL]) if FORALL in terms else None)
@@ -399,7 +391,7 @@ def augmented_formula(
     if existential is not None:
         phi = And((phi, clauses_to_formula(existential.clauses)))
     present = [e for e in (existential, universal) if e is not None]
-    return _merged_prefix(instance, *present), phi
+    return _merged_prefix(instance.prefix, *present), phi
 
 
 @dataclass(frozen=True)

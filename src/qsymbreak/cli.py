@@ -33,7 +33,8 @@ from .breakers import (
     verify_breaker,
 )
 from .detect import DEFAULT_BUDGET, detect_symmetries
-from .errors import CapExceededError, QdimacsParseError, ValidationError
+from .errors import CapExceededError, ValidationError
+from .formulas import clauses_to_formula, cubes_to_formula
 from .groups import format_generator, parse_generators
 from .qdimacs import QbfInstance, parse_qdimacs, serialize_dnf, serialize_qdimacs
 from .strategies import EXISTENTIAL, UNIVERSAL, check_enumeration_cap, qbf_truth
@@ -165,15 +166,15 @@ def _cmd_verify(args) -> int:
     gens = _load_generators(args, instance)
     base = qbf_truth(instance)
 
-    # every check concerns the chains that break writes: psi is their projection
+    # every check concerns the chains that break writes: the truth checks read
+    # them under their own prefixes, the coverage checks psi, their projection
     enc_e, enc_u = encode_both(instance.prefix, gens)
-    psi_e, psi_u = breaker_formula(enc_e), breaker_formula(enc_u)
-
     truth_checks = (
-        ("existential breaker is a true QBF", (instance.prefix, psi_e.formula), True),
-        ("universal breaker is a false QBF", (instance.prefix, psi_u.formula), False),
-        ("truth preserved by conjoined CNF encoding",
-         augment_instance(instance, enc_e, "conjoin-cnf")[0], base),
+        ("existential breaker is a true QBF",
+         (enc_e.prefix, clauses_to_formula(enc_e.clauses)), True),
+        ("universal breaker is a false QBF",
+         (enc_u.prefix, cubes_to_formula(enc_u.cubes)), False),
+        ("truth preserved by conjoined CNF encoding", augmented_formula(instance, enc_e), base),
         ("truth preserved by attached DNF encoding",
          augmented_formula(instance, universal=enc_u), base),
         ("truth preserved by combined encoding", augmented_formula(instance, enc_e, enc_u), base),
@@ -184,8 +185,8 @@ def _cmd_verify(args) -> int:
     ]
     # orbit coverage: one pass over the game tree per player builds the
     # orbit classes and counts their strategies, enumerating none
-    for psi, name in ((psi_e, "existential"), (psi_u, "universal")):
-        report = verify_breaker(instance.prefix, gens, psi, cap=args.cap)
+    for encoded, name in ((enc_e, "existential"), (enc_u, "universal")):
+        report = verify_breaker(instance.prefix, gens, breaker_formula(encoded), cap=args.cap)
         checks.append({"name": f"{name} orbit coverage", "ok": report.ok,
                        "orbits": report.orbit_count, "covered": report.covered,
                        "kept": report.kept})
@@ -322,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = gen_sub.add_parser("kbkf", help="the t-level KBKF family (false, symmetric)")
     g.add_argument("levels", type=int, help="number of levels t")
     _add_output_arg(g)
-    g.set_defaults(func=_cmd_gen, family="kbkf")
+    g.set_defaults(func=_cmd_gen)
 
     g = gen_sub.add_parser("random", help="seeded random instance")
     g.add_argument("--seed", type=int, required=True)
@@ -339,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="close the clauses under a random involution",
     )
     _add_output_arg(g)
-    g.set_defaults(func=_cmd_gen, family="random")
+    g.set_defaults(func=_cmd_gen)
 
     return parser
 
@@ -362,9 +363,6 @@ def _run(argv) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except QdimacsParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP

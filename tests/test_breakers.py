@@ -446,6 +446,38 @@ def test_breaker_formula_projects_an_encoded_pair():
         )
 
 
+def test_each_chain_under_its_own_prefix_decides_as_its_projection():
+    # verify reads the chains, not psi: quantified where the encoding puts
+    # them and next to any matrix, the existential chain decides as psi
+    # conjoined and the universal one as psi disjoined; alone, the first is a
+    # true QBF and the second a false one
+    rng = random.Random(3001)
+    chained = 0
+    for _ in range(150):
+        prefix = oracles.random_prefix(rng, rng.randint(1, 6))
+        gens = [oracles.random_signed_perm(rng, prefix) for _ in range(rng.randint(1, 3))]
+        phi = oracles.random_formula(rng, list(prefix.variables))
+        enc_e, enc_u = encode_both(prefix, gens)
+        chain_e = formulas.clauses_to_formula(enc_e.clauses)
+        chain_u = formulas.cubes_to_formula(enc_u.cubes)
+        psi_e, psi_u = breaker_formula(enc_e).formula, breaker_formula(enc_u).formula
+        assert qbf_truth((enc_e.prefix, chain_e)) and not qbf_truth((enc_u.prefix, chain_u))
+        assert qbf_truth((enc_e.prefix, phi & chain_e)) == qbf_truth((prefix, phi & psi_e))
+        assert qbf_truth((enc_u.prefix, phi | chain_u)) == qbf_truth((prefix, phi | psi_u))
+        chained += bool(enc_e.aux_vars) + bool(enc_u.aux_vars)
+    assert chained >= 40
+
+    # the chain variable 8 of (2 3)(4 5)(6 7) reads the tie at the universal
+    # x2, so it is quantified after x2's block: in front of it, the
+    # existential player could not play x4 & ~x5 where x2 and x3 differ
+    prefix = Prefix.from_pairs([(EXISTS, [1]), (FORALL, [2, 3]), (EXISTS, [4, 5, 6, 7])])
+    g = SignedPermutation.from_dict({1: 1, 2: 3, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6})
+    enc = encode_existential_cnf(prefix, [g])
+    assert enc.aux_slots == ((8, 1),)
+    phi = oracles.iff(Var(2), Var(3)) | (Var(4) & ~Var(5))
+    assert qbf_truth((enc.prefix, phi & formulas.clauses_to_formula(enc.clauses)))
+
+
 def test_project_chain_accepts_a_horn_chain():
     # y4 := True, y5 := y4 & x1, y6 := y5 & (x2 | ~x3); goals ~y5 | x2 and ~y6 | x3
     clauses = [(4,), (5, -4, -1), (6, -5, -2), (6, -5, 3), (-5, 2), (-6, 3), (1, 2)]

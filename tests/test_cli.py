@@ -366,13 +366,22 @@ BREAK_ROUTES = {
 # before break's three polarities shared one body; kbkf_2, planted_3 and
 # static_group re-recorded when the chains lost y_0, 2-cycle partners and
 # the positions after a flip, and kbkf_2 again when the last chain
-# variable was resolved into the last goal
+# variable was resolved into the last goal; two_chains recorded before
+# one function came to place the chain variables of every route
 PINNED_BREAKS = {
     "kbkf_2": "cbfdbb4bddf4327428d6c3b121601cb702404f84995bdfa8b788f97fb25ad49d",
     "planted_3": "49894b09ffaebdc7fb2ffe00d74e2f21c222a0e26af20b6658a5dabf9e95e8f9",
     "static_group": "787d7fbc530c64483ae2379f73b8e98f3d5637c7e8b8dd1f7e1e8c8d5e5614cc",
     "empty": "6faf8029295d960d7f98fee28ccb3201feabe11a6ef30bd87de5a42df59b0b11",
+    "two_chains": "63183a488782c170a62bcbe9176b9449fbd16ad029a5f2534b0fe13fb988b42d",
 }
+
+# the only pinned input whose breakers need chain variables: an existential
+# chain and a universal one, which --forall numbers 10-11 and --both 14-15
+TWO_CHAINS = (
+    "p cnf 9 6\ne 1 2 3 0\na 4 5 6 0\ne 7 8 9 0\n1 4 7 0\n2 5 8 0\n3 6 9 0\n"
+    "-1 5 -9 0\n-2 6 -7 0\n-3 4 -8 0\n"
+)
 
 
 def _pinned_input(capsys, name):
@@ -385,6 +394,8 @@ def _pinned_input(capsys, name):
             capsys, "gen", "random", "--seed", "3", "-n", "5", "-m", "6",
             "--planted", "-o", "in.qdimacs",
         )
+    elif name == "two_chains":
+        write(here, "in.qdimacs", TWO_CHAINS)
     elif name == "static_group":
         write(here, "in.qdimacs", KLEIN)
         return ["in.qdimacs", "--generators", write(here, "gens.txt", "(2 3)\n(-2)(-3)\n")]
@@ -420,14 +431,17 @@ def test_break_outputs_stay_pinned(tmp_path, capsys, monkeypatch, name):
 
 
 # sha256 of verify --json's exit code and stdout, recorded while the
-# formula trees still had nodes for <->, -> and xor. kbkf_2 is over the
-# enumeration cap (exit 3); planted_3's 65,536 strategies run with a raised
-# cap. The report names the instance, so the input path is relative.
+# formula trees still had nodes for <->, -> and xor (two_chains' before the
+# truth checks read the chains in place of psi). kbkf_2 is over the
+# enumeration cap (exit 3); planted_3's 65,536 strategies and two_chains'
+# 134,217,728 run with a raised cap. The report names the instance, so the
+# input path is relative.
 PINNED_VERIFIES = {
     "kbkf_1": "64e7b8689c05d9099cc8cd48478b02f5f15c067143ab871f2aaeae25442ce706",
     "kbkf_2": "fa1808fe1b1b1a67b22aee997adcc0b717c79dbf9d7290680bc2bab772fa81f5",
     "planted_3": "8eb48ba6c9d4ddcd0a19c16f812f17111a7dc45546f00e0d3074c53a70e57bcb",
     "static_group": "51db40593089fe8da2d353782f71d17beb7627aadeb0ecdba6a6138ea4362e85",
+    "two_chains": "91926361f1c5f4ed2315bf461ac2c23fb7adbdfe16bcb8ea1421178cc54eb378",
 }
 
 
@@ -437,6 +451,8 @@ def test_verify_outputs_stay_pinned(tmp_path, capsys, monkeypatch, name):
     args = _pinned_input(capsys, name)
     if name == "planted_3":
         args += ["--cap", "65536"]
+    elif name == "two_chains":
+        args += ["--cap", "134217728"]
     code, out, _ = run(capsys, "verify", "--json", *args)
     assert code == (3 if name == "kbkf_2" else 0)
     digest = hashlib.sha256(repr((code, out)).encode()).hexdigest()
